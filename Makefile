@@ -32,14 +32,18 @@ extended: tier1 lint lint-fix-check
 	go vet ./...
 	go test -race ./...
 
-# Bench smoke: short cache, restripe, and p99-controller experiments end
-# to end (reduced sweep, JSON artifacts) plus the adaptive subsystems
-# under the race detector.
+# Bench smoke: short cache, restripe, p99-controller, scale, tenants and
+# pipeline experiments end to end (reduced configuration, JSON reports in
+# the gitignored $(SMOKE_DIR)) plus the adaptive subsystems under the race
+# detector. It never modifies a tracked file.
+SMOKE_DIR := .bench_smoke
+
 bench-smoke:
-	go run ./cmd/dasbench -quick -cache -cache-rounds 2 -json BENCH_cache_smoke.json
-	go run ./cmd/dasbench -quick -restripe -restripe-rounds 2 -json BENCH_restripe_smoke.json
-	go run ./cmd/dasbench -quick -p99 -p99-rounds 7 -json BENCH_p99_smoke.json
-	go run ./cmd/dasbench -scale -smoke -json BENCH_scale_smoke.json
-	go run ./cmd/dasbench -quick -tenants -smoke -json BENCH_tenants_smoke.json
-	go run ./cmd/dasbench -quick -pipeline -smoke -json BENCH_pipeline_smoke.json
+	mkdir -p $(SMOKE_DIR)
+	go run ./cmd/dasbench -quick -exp cache -smoke -json $(SMOKE_DIR)/BENCH_cache_smoke.json
+	go run ./cmd/dasbench -quick -exp restripe -smoke -json $(SMOKE_DIR)/BENCH_restripe_smoke.json
+	go run ./cmd/dasbench -quick -exp p99 -smoke -json $(SMOKE_DIR)/BENCH_p99_smoke.json
+	go run ./cmd/dasbench -exp scale -smoke -json $(SMOKE_DIR)/BENCH_scale_smoke.json
+	go run ./cmd/dasbench -quick -exp tenants -smoke -json $(SMOKE_DIR)/BENCH_tenants_smoke.json
+	go run ./cmd/dasbench -quick -exp pipeline -smoke -json $(SMOKE_DIR)/BENCH_pipeline_smoke.json
 	go test -race ./internal/control/... ./internal/cache/... ./internal/restripe/... ./internal/tenants/... ./internal/pipeline/...

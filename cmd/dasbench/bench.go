@@ -2,13 +2,10 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"runtime"
 	"testing"
 
-	"github.com/hpcio/das/internal/cache"
-	"github.com/hpcio/das/internal/control"
 	"github.com/hpcio/das/internal/core"
 	"github.com/hpcio/das/internal/experiments"
 	"github.com/hpcio/das/internal/grid"
@@ -61,9 +58,9 @@ type benchReport struct {
 	Restripe    []restripeBenchRow           `json:"restripe"`
 }
 
-// benchJSON runs the kernel and scheme micro-benchmarks and writes the
-// results to path as JSON (the BENCH_kernels.json artifact).
-func benchJSON(cfg experiments.Config, path string) error {
+// kernelsBench runs the kernel and scheme micro-benchmarks (the
+// BENCH_kernels.json artifact).
+func kernelsBench(cfg experiments.Config) (*benchReport, error) {
 	const w, h = 1024, 512
 	terrain := workload.Terrain(w, h, 1)
 	image := workload.Image(w, h, 1, 0.05)
@@ -77,7 +74,7 @@ func benchJSON(cfg experiments.Config, path string) error {
 		{kernels.Median{}, image},
 	}
 
-	rep := benchReport{
+	rep := &benchReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		GridWidth:  w,
@@ -150,7 +147,7 @@ func benchJSON(cfg experiments.Config, path string) error {
 	// degrade and failover events.
 	_, recs, err := cfg.FaultFailoverRecovery()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rep.Recovery = recs
 
@@ -158,7 +155,7 @@ func benchJSON(cfg experiments.Config, path string) error {
 	// trajectory tracks the background migrator alongside recovery.
 	_, rr, err := cfg.RestripeExperiment(2, restripe.Config{})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, v := range rr.Variants {
 		if v.Migration != nil {
@@ -166,115 +163,7 @@ func benchJSON(cfg experiments.Config, path string) error {
 		}
 	}
 
-	if err := writeJSON(path, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d kernel rows, %d scheme rows, %d recovery rows, %d restripe rows)\n",
-		path, len(rep.Kernels), len(rep.Schemes), len(rep.Recovery), len(rep.Restripe))
-	return nil
-}
-
-// cacheJSON runs the halo-strip cache experiment and writes its report to
-// path (the BENCH_cache.json artifact).
-func cacheJSON(cfg experiments.Config, rounds int, path string) error {
-	r, report, err := cfg.CacheExperiment(rounds, cache.Config{})
-	if err != nil {
-		return err
-	}
-	if err := writeJSON(path, report); err != nil {
-		return err
-	}
-	fmt.Println(r.Table())
-	fmt.Printf("wrote %s (%d variants)\n", path, len(report.Variants))
-	return nil
-}
-
-// restripeJSON runs the online-restriping experiment and writes its report
-// to path (the BENCH_restripe.json artifact).
-func restripeJSON(cfg experiments.Config, rounds int, path string) error {
-	r, report, err := cfg.RestripeExperiment(rounds, restripe.Config{})
-	if err != nil {
-		return err
-	}
-	if err := writeJSON(path, report); err != nil {
-		return err
-	}
-	fmt.Println(r.Table())
-	fmt.Printf("wrote %s (%d variants)\n", path, len(report.Variants))
-	return nil
-}
-
-// p99JSON runs the unified p99 controller experiment and writes its
-// report to path (the BENCH_p99.json artifact).
-func p99JSON(cfg experiments.Config, rounds int, path string) error {
-	r, report, err := cfg.P99Experiment(rounds, control.Config{})
-	if err != nil {
-		return err
-	}
-	if err := writeJSON(path, report); err != nil {
-		return err
-	}
-	fmt.Println(r.Table())
-	fmt.Printf("wrote %s (%d variants)\n", path, len(report.Variants))
-	return nil
-}
-
-// tenantsRun runs the multi-tenant skewed-stream experiment (full scale,
-// or the reduced smoke configuration) and optionally writes its report to
-// path (the BENCH_tenants.json artifact).
-func tenantsRun(cfg experiments.Config, smoke bool, path string, csv, chart bool) error {
-	tcfg := experiments.DefaultTenantsConfig()
-	if smoke {
-		tcfg = experiments.SmokeTenantsConfig()
-	}
-	r, report, err := cfg.TenantsExperiment(tcfg)
-	if err != nil {
-		return err
-	}
-	if path != "" {
-		if err := writeJSON(path, report); err != nil {
-			return err
-		}
-	}
-	if csv {
-		fmt.Printf("# %s\n%s\n", r.ID, r.CSV())
-	} else {
-		fmt.Println(r.Table())
-		if chart {
-			fmt.Println(r.Chart(48))
-		}
-	}
-	if path != "" {
-		fmt.Printf("wrote %s (%d variants)\n", path, len(report.Variants))
-	}
-	return nil
-}
-
-// pipelineRun runs the kernel-DAG pushdown experiment (full scale, or
-// the reduced smoke configuration) and optionally writes its report to
-// path (the BENCH_pipeline.json artifact).
-func pipelineRun(cfg experiments.Config, smoke bool, path string, csv, chart bool) error {
-	r, report, err := cfg.PipelineExperiment(smoke)
-	if err != nil {
-		return err
-	}
-	if path != "" {
-		if err := writeJSON(path, report); err != nil {
-			return err
-		}
-	}
-	if csv {
-		fmt.Printf("# %s\n%s\n", r.ID, r.CSV())
-	} else {
-		fmt.Println(r.Table())
-		if chart {
-			fmt.Println(r.Chart(48))
-		}
-	}
-	if path != "" {
-		fmt.Printf("wrote %s (%d variants)\n", path, len(report.Variants))
-	}
-	return nil
+	return rep, nil
 }
 
 func writeJSON(path string, v any) error {

@@ -1,29 +1,26 @@
 // Command dasbench regenerates the paper's evaluation: every figure and
-// table of §IV plus the ablations described in DESIGN.md. By default it
+// table of §IV plus the ablations described in DESIGN.md, and the JSON
+// reports of the adaptive-stack and host-cost experiments. By default it
 // runs the paper-mirroring configuration (24–60 GB datasets scaled 1 GB →
 // 1 MiB, 24–60 nodes); -quick runs a reduced sweep for smoke tests.
 //
 // Usage:
 //
-//	dasbench                  # everything, text tables
-//	dasbench -exp fig12       # one experiment
-//	dasbench -exp ablations   # the four ablations
-//	dasbench -csv             # machine-readable output
-//	dasbench -quick           # reduced sizes/nodes
-//	dasbench -json BENCH_kernels.json   # kernel/scheme micro-benchmarks + recovery counters
-//	dasbench -cache                     # halo-strip cache experiment, text table
-//	dasbench -cache -json BENCH_cache.json   # same, JSON report
-//	dasbench -restripe                  # online-restriping experiment, text table
-//	dasbench -restripe -json BENCH_restripe.json   # same, JSON report
-//	dasbench -p99                       # unified p99 controller experiment
-//	dasbench -p99 -json BENCH_p99.json  # same, JSON report
-//	dasbench -tenants                   # multi-tenant skewed-stream experiment
-//	dasbench -tenants -json BENCH_tenants.json  # same, JSON report
-//	dasbench -tenants -smoke            # reduced stream count for CI
-//	dasbench -pipeline                  # kernel-DAG pushdown vs per-pass experiment
-//	dasbench -pipeline -json BENCH_pipeline.json  # same, JSON report
-//	dasbench -pipeline -smoke           # reduced dataset for CI
+//	dasbench                             # everything, text tables
+//	dasbench -exp fig12                  # one experiment
+//	dasbench -exp ablations              # the ablations
+//	dasbench -csv                        # machine-readable output
+//	dasbench -quick                      # reduced sizes/nodes
+//	dasbench -exp cache -json BENCH_cache.json   # an experiment's JSON report
+//	dasbench -quick -exp tenants -smoke  # reduced configuration for CI
+//	dasbench -exp kernels                # kernel/scheme micro-benchmarks → BENCH_kernels.json
+//	dasbench -exp scale                  # engine-scaling sweep → BENCH_scale.json
 //	dasbench -cpuprofile cpu.out -exp fig11   # profile a run
+//
+// The report-producing experiments are cache, restripe, p99, tenants,
+// pipeline, kernels and scale; -json writes the selected one's report.
+// -smoke selects the reduced CI configuration of cache, restripe, p99
+// (fewer rounds), tenants, pipeline and scale.
 package main
 
 import (
@@ -32,38 +29,76 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 
 	"github.com/hpcio/das/internal/cache"
-	"github.com/hpcio/das/internal/cli"
 	"github.com/hpcio/das/internal/control"
 	"github.com/hpcio/das/internal/experiments"
 	"github.com/hpcio/das/internal/restripe"
 )
 
+// report runs one report-producing experiment. The table is nil for
+// kernels and scale, whose JSON report is their whole result.
+type report func(cfg experiments.Config, smoke bool) (table *experiments.Result, rep any, err error)
+
+// reports holds every experiment -json can write, and smokeable those of
+// them -smoke reduces.
+var (
+	reports = map[string]report{
+		"cache": func(cfg experiments.Config, smoke bool) (*experiments.Result, any, error) {
+			return cfg.CacheExperiment(pick(smoke, 2, 3), cache.Config{})
+		},
+		"restripe": func(cfg experiments.Config, smoke bool) (*experiments.Result, any, error) {
+			return cfg.RestripeExperiment(pick(smoke, 2, 3), restripe.Config{})
+		},
+		"p99": func(cfg experiments.Config, smoke bool) (*experiments.Result, any, error) {
+			return cfg.P99Experiment(pick(smoke, 7, 8), control.Config{})
+		},
+		"tenants": func(cfg experiments.Config, smoke bool) (*experiments.Result, any, error) {
+			tcfg := experiments.DefaultTenantsConfig()
+			if smoke {
+				tcfg = experiments.SmokeTenantsConfig()
+			}
+			return cfg.TenantsExperiment(tcfg)
+		},
+		"pipeline": func(cfg experiments.Config, smoke bool) (*experiments.Result, any, error) {
+			return cfg.PipelineExperiment(smoke)
+		},
+		"kernels": func(cfg experiments.Config, _ bool) (*experiments.Result, any, error) {
+			rep, err := kernelsBench(cfg)
+			return nil, rep, err
+		},
+		"scale": func(_ experiments.Config, smoke bool) (*experiments.Result, any, error) {
+			rep, err := scaleSweep(smoke)
+			return nil, rep, err
+		},
+	}
+	smokeable = map[string]bool{"cache": true, "restripe": true, "p99": true, "tenants": true, "pipeline": true, "scale": true}
+)
+
+// pick returns the smoke value under -smoke and the default otherwise.
+func pick(smoke bool, smokeVal, def int) int {
+	if smoke {
+		return smokeVal
+	}
+	return def
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, tableI, fig10, fig11, fig12, fig13, fig14, faults, cache, restripe, p99, ablations")
-	faults := flag.Bool("faults", false, "run the storage-server fault/failover comparison (shorthand for -exp faults)")
-	cacheExp := flag.Bool("cache", false, "run the halo-strip cache experiment (shorthand for -exp cache; with -json, writes the cache report instead of micro-benchmarks)")
-	cacheRounds := flag.Int("cache-rounds", 3, "rounds per variant in the cache experiment")
-	restripeExp := flag.Bool("restripe", false, "run the online-restriping experiment (shorthand for -exp restripe; with -json, writes the restripe report instead of micro-benchmarks)")
-	restripeRounds := flag.Int("restripe-rounds", 3, "rounds per variant in the restripe experiment")
-	p99Exp := flag.Bool("p99", false, "run the unified p99 controller experiment (shorthand for -exp p99; with -json, writes the p99 report instead of micro-benchmarks)")
-	p99Rounds := flag.Int("p99-rounds", 8, "rounds per variant in the p99 controller experiment")
-	scaleExp := flag.Bool("scale", false, "run the engine-scaling sweep (24-5000 nodes, fast vs classic engine); writes BENCH_scale.json unless -json names another file")
-	tenantsExp := flag.Bool("tenants", false, "run the multi-tenant skewed-stream experiment (admission control, fairness, adaptive stack); with -json, writes the tenants report")
-	pipelineExp := flag.Bool("pipeline", false, "run the kernel-DAG pushdown experiment (per-pass vs pipelined under NAS and DAS); with -json, writes the pipeline report")
-	smoke := flag.Bool("smoke", false, "with -scale, -tenants, or -pipeline: reduced configuration for CI smoke runs")
+	exp := flag.String("exp", "all", "experiment to run: all, tableI, fig10-fig14, faults, ablations, ablation-*, or a report-producing one: "+strings.Join(names(reports), ", "))
+	smoke := flag.Bool("smoke", false, "reduced configuration for CI smoke runs (experiments: "+strings.Join(names(smokeable), ", ")+")")
 	csv := flag.Bool("csv", false, "emit CSV instead of text tables")
 	chart := flag.Bool("chart", false, "append an ASCII bar chart to each table")
 	quick := flag.Bool("quick", false, "reduced sweep (2-4 GB, 8-16 nodes) for smoke testing")
 	nodes := flag.Int("nodes", 0, "override the default node count")
-	benchJSONPath := flag.String("json", "", "run kernel/scheme micro-benchmarks and write JSON results to this file (e.g. BENCH_kernels.json)")
+	jsonPath := flag.String("json", "", "write the selected experiment's JSON report to this file (kernels and scale default to BENCH_<exp>.json)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
 
-	if err := checkExclusive(*exp, *faults, *cacheExp, *restripeExp, *p99Exp, *scaleExp, *tenantsExp, *pipelineExp, *smoke); err != nil {
+	name := strings.ToLower(*exp)
+	if err := checkFlags(name, *smoke, *jsonPath); err != nil {
 		fmt.Fprintln(os.Stderr, "dasbench:", err)
 		os.Exit(1)
 	}
@@ -91,47 +126,17 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	err := func() error {
-		if *scaleExp {
-			path := *benchJSONPath
-			if path == "" && !*smoke {
-				path = "BENCH_scale.json"
-			}
-			return scaleSweep(path, *smoke)
+	out := output{csv: *csv, chart: *chart}
+	var err error
+	if rep, ok := reports[name]; ok {
+		path := *jsonPath
+		if path == "" && (name == "kernels" || name == "scale") && !*smoke {
+			path = "BENCH_" + name + ".json"
 		}
-		if *tenantsExp {
-			return tenantsRun(cfg, *smoke, *benchJSONPath, *csv, *chart)
-		}
-		if *pipelineExp {
-			return pipelineRun(cfg, *smoke, *benchJSONPath, *csv, *chart)
-		}
-		if *benchJSONPath != "" {
-			if *cacheExp {
-				return cacheJSON(cfg, *cacheRounds, *benchJSONPath)
-			}
-			if *restripeExp {
-				return restripeJSON(cfg, *restripeRounds, *benchJSONPath)
-			}
-			if *p99Exp {
-				return p99JSON(cfg, *p99Rounds, *benchJSONPath)
-			}
-			return benchJSON(cfg, *benchJSONPath)
-		}
-		name := strings.ToLower(*exp)
-		if *faults {
-			name = "faults"
-		}
-		if *cacheExp {
-			name = "cache"
-		}
-		if *restripeExp {
-			name = "restripe"
-		}
-		if *p99Exp {
-			name = "p99"
-		}
-		return run(cfg, name, *cacheRounds, *restripeRounds, *p99Rounds, *csv, *chart)
-	}()
+		err = runReport(cfg, rep, *smoke, path, out)
+	} else {
+		err = run(cfg, name, out)
+	}
 
 	if *memprofile != "" {
 		f, ferr := os.Create(*memprofile)
@@ -154,61 +159,71 @@ func main() {
 	}
 }
 
-// checkExclusive rejects flag combinations that would otherwise be
-// silently ignored: each report mode owns the whole run, so modes
-// exclude each other and a named -exp, and -smoke only modifies the
-// modes that define a reduced configuration.
-func checkExclusive(exp string, faults, cacheExp, restripeExp, p99Exp, scaleExp, tenantsExp, pipelineExp, smoke bool) error {
-	if err := cli.CheckExclusive(
-		[]cli.Flag{
-			{Name: "-faults", Set: faults},
-			{Name: "-cache", Set: cacheExp},
-			{Name: "-restripe", Set: restripeExp},
-			{Name: "-p99", Set: p99Exp},
-			{Name: "-scale", Set: scaleExp},
-			{Name: "-tenants", Set: tenantsExp},
-			{Name: "-pipeline", Set: pipelineExp},
-		},
-		[]cli.Flag{{Name: "-exp", Set: exp != "" && strings.ToLower(exp) != "all"}},
-	); err != nil {
-		return err
+// checkFlags rejects -smoke and -json on experiments they would silently
+// not apply to.
+func checkFlags(name string, smoke bool, jsonPath string) error {
+	if smoke && !smokeable[name] {
+		return fmt.Errorf("-smoke applies only to -exp %s", strings.Join(names(smokeable), ", "))
 	}
-	if smoke && !scaleExp && !tenantsExp && !pipelineExp {
-		return fmt.Errorf("-smoke applies only to -scale, -tenants, or -pipeline")
+	if _, ok := reports[name]; jsonPath != "" && !ok {
+		return fmt.Errorf("-json applies only to -exp %s", strings.Join(names(reports), ", "))
 	}
 	return nil
 }
 
-func run(cfg experiments.Config, exp string, cacheRounds, restripeRounds, p99Rounds int, csv, chart bool) error {
-	emit := func(r *experiments.Result) {
-		if csv {
-			fmt.Printf("# %s\n%s\n", r.ID, r.CSV())
-			return
-		}
-		fmt.Println(r.Table())
-		if chart {
-			fmt.Println(r.Chart(48))
-		}
+// names returns a map's keys in sorted order.
+func names[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
+	sort.Strings(out)
+	return out
+}
+
+// output renders result tables as text (optionally with a chart) or CSV.
+type output struct{ csv, chart bool }
+
+func (o output) emit(r *experiments.Result) {
+	if o.csv {
+		fmt.Printf("# %s\n%s\n", r.ID, r.CSV())
+		return
+	}
+	fmt.Println(r.Table())
+	if o.chart {
+		fmt.Println(r.Chart(48))
+	}
+}
+
+// runReport runs a report-producing experiment, prints its table, and
+// writes its report to path unless path is empty.
+func runReport(cfg experiments.Config, rep report, smoke bool, path string, out output) error {
+	table, v, err := rep(cfg, smoke)
+	if err != nil {
+		return err
+	}
+	if table != nil {
+		out.emit(table)
+	}
+	if path == "" {
+		return nil
+	}
+	if err := writeJSON(path, v); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
+}
+
+// run runs a table-only experiment, the ablations, or everything.
+func run(cfg experiments.Config, exp string, out output) error {
 	single := map[string]func() (*experiments.Result, error){
-		"fig10":  cfg.Fig10,
-		"fig11":  cfg.Fig11,
-		"fig12":  cfg.Fig12,
-		"fig13":  cfg.Fig13,
-		"fig14":  cfg.Fig14,
-		"faults": cfg.FaultFailover,
-		"cache": func() (*experiments.Result, error) {
-			r, _, err := cfg.CacheExperiment(cacheRounds, cache.Config{})
-			return r, err
-		},
-		"restripe": func() (*experiments.Result, error) {
-			r, _, err := cfg.RestripeExperiment(restripeRounds, restripe.Config{})
-			return r, err
-		},
-		"p99": func() (*experiments.Result, error) {
-			r, _, err := cfg.P99Experiment(p99Rounds, control.Config{})
-			return r, err
-		},
+		"fig10":                      cfg.Fig10,
+		"fig11":                      cfg.Fig11,
+		"fig12":                      cfg.Fig12,
+		"fig13":                      cfg.Fig13,
+		"fig14":                      cfg.Fig14,
+		"faults":                     cfg.FaultFailover,
 		"ablation-group-size":        cfg.AblationGroupSize,
 		"ablation-predictor":         cfg.AblationPredictor,
 		"ablation-reconfig":          cfg.AblationReconfig,
@@ -229,7 +244,7 @@ func run(cfg experiments.Config, exp string, cacheRounds, restripeRounds, p99Rou
 			return err
 		}
 		for _, r := range results {
-			emit(r)
+			out.emit(r)
 		}
 		return nil
 	case "all":
@@ -239,14 +254,14 @@ func run(cfg experiments.Config, exp string, cacheRounds, restripeRounds, p99Rou
 			return err
 		}
 		for _, r := range results {
-			emit(r)
+			out.emit(r)
 		}
 		results, err = cfg.Ablations()
 		if err != nil {
 			return err
 		}
 		for _, r := range results {
-			emit(r)
+			out.emit(r)
 		}
 		return nil
 	default:
@@ -258,7 +273,7 @@ func run(cfg experiments.Config, exp string, cacheRounds, restripeRounds, p99Rou
 		if err != nil {
 			return err
 		}
-		emit(r)
+		out.emit(r)
 		return nil
 	}
 }

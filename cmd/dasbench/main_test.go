@@ -5,72 +5,43 @@ import (
 	"testing"
 )
 
-// TestCheckExclusive covers the flag-conflict error paths: every report
-// mode owns the whole run, so combining two modes, or a mode with a
-// named -exp, must fail loudly instead of silently ignoring one of them.
-func TestCheckExclusive(t *testing.T) {
-	type args struct {
-		exp                                                             string
-		faults, cacheExp, restripeExp, p99Exp, scale, tenants, pipeline bool
-		smoke                                                           bool
-	}
+// TestCheckFlags covers the flag-misuse error paths: -smoke and -json
+// modify only the experiments that define a reduced configuration or a
+// report, and must fail loudly instead of being silently ignored.
+func TestCheckFlags(t *testing.T) {
 	cases := []struct {
-		name    string
-		a       args
-		wantErr string // empty: combination must be accepted
+		exp      string
+		smoke    bool
+		jsonPath string
+		wantErr  string // empty: combination must be accepted
 	}{
-		{name: "default run", a: args{exp: "all"}},
-		{name: "named experiment", a: args{exp: "fig11"}},
-		{name: "single mode", a: args{exp: "all", tenants: true}},
-		{name: "tenants smoke", a: args{exp: "all", tenants: true, smoke: true}},
-		{name: "scale smoke", a: args{exp: "all", scale: true, smoke: true}},
-		{name: "pipeline smoke", a: args{exp: "all", pipeline: true, smoke: true}},
-		{
-			name:    "two modes",
-			a:       args{exp: "all", cacheExp: true, tenants: true},
-			wantErr: "-tenants cannot be combined with -cache",
-		},
-		{
-			name:    "pipeline with another mode",
-			a:       args{exp: "all", pipeline: true, scale: true},
-			wantErr: "-pipeline cannot be combined with -scale",
-		},
-		{
-			name:    "pipeline with named experiment",
-			a:       args{exp: "fig10", pipeline: true},
-			wantErr: "-pipeline cannot be combined with -exp",
-		},
-		{
-			name:    "three modes",
-			a:       args{exp: "all", faults: true, p99Exp: true, scale: true},
-			wantErr: "-p99 or -scale cannot be combined with -faults",
-		},
-		{
-			name:    "mode with named experiment",
-			a:       args{exp: "fig12", tenants: true},
-			wantErr: "-tenants cannot be combined with -exp",
-		},
-		{
-			name:    "stray smoke",
-			a:       args{exp: "all", smoke: true},
-			wantErr: "-smoke applies only to -scale, -tenants, or -pipeline",
-		},
-		{
-			name:    "smoke on wrong mode",
-			a:       args{exp: "all", p99Exp: true, smoke: true},
-			wantErr: "-smoke applies only to -scale, -tenants, or -pipeline",
-		},
+		{exp: "all"},
+		{exp: "fig11"},
+		{exp: "kernels", jsonPath: "k.json"},
+		{exp: "cache", smoke: true, jsonPath: "c.json"},
+		{exp: "p99", smoke: true},
+		{exp: "scale", smoke: true},
+		{exp: "tenants", smoke: true, jsonPath: "t.json"},
+		{exp: "pipeline", smoke: true},
+		{exp: "all", smoke: true, wantErr: "-smoke applies only to -exp cache, p99, pipeline, restripe, scale, tenants"},
+		{exp: "kernels", smoke: true, wantErr: "-smoke applies only to"},
+		{exp: "fig12", jsonPath: "f.json", wantErr: "-json applies only to -exp cache, kernels, p99, pipeline, restripe, scale, tenants"},
+		{exp: "all", jsonPath: "a.json", wantErr: "-json applies only to"},
 	}
 	for _, tc := range cases {
-		err := checkExclusive(tc.a.exp, tc.a.faults, tc.a.cacheExp, tc.a.restripeExp,
-			tc.a.p99Exp, tc.a.scale, tc.a.tenants, tc.a.pipeline, tc.a.smoke)
+		err := checkFlags(tc.exp, tc.smoke, tc.jsonPath)
 		switch {
 		case tc.wantErr == "" && err != nil:
-			t.Errorf("%s: unexpected error %v", tc.name, err)
+			t.Errorf("%+v: unexpected error %v", tc, err)
 		case tc.wantErr != "" && err == nil:
-			t.Errorf("%s: combination accepted, want %q", tc.name, tc.wantErr)
+			t.Errorf("%+v: combination accepted, want %q", tc, tc.wantErr)
 		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
-			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.wantErr)
+			t.Errorf("%+v: error %q does not contain %q", tc, err, tc.wantErr)
+		}
+	}
+	for name := range smokeable {
+		if _, ok := reports[name]; !ok {
+			t.Errorf("smokeable experiment %q has no report", name)
 		}
 	}
 }

@@ -137,9 +137,9 @@ func runScaleBest(nodes, ops int, mode string) (scaleRow, experiments.ScaleStats
 	return best, stats, nil
 }
 
-// scaleSweep runs every node count under both constructions, verifies
-// byte-identity per point, and writes the report.
-func scaleSweep(path string, smoke bool) error {
+// scaleSweep runs every node count under both constructions and verifies
+// byte-identity per point.
+func scaleSweep(smoke bool) (*scaleReport, error) {
 	nodeCounts := scaleSweepNodes
 	opsAt := func(n int) int {
 		if n >= scaleBigNodes {
@@ -153,7 +153,7 @@ func scaleSweep(path string, smoke bool) error {
 		nodeCounts = []int{640}
 		opsAt = func(int) int { return 32 }
 	}
-	rep := scaleReport{
+	rep := &scaleReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Seed:       scaleSeed,
@@ -162,11 +162,11 @@ func scaleSweep(path string, smoke bool) error {
 		ops := opsAt(n)
 		fastRow, fastStats, err := runScaleBest(n, ops, "fast")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		classicRow, classicStats, err := runScaleBest(n, ops, "classic")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pt := scalePoint{
 			Nodes:        n,
@@ -181,15 +181,12 @@ func scaleSweep(path string, smoke bool) error {
 			classicRow.WallMs, classicRow.EventsPerSec/1e6,
 			pt.EventSpeedup, pt.Identical)
 		if !pt.Identical {
-			return fmt.Errorf("scale: %d-node simulations diverged between fast and classic engines:\n fast    %+v\n classic %+v",
+			return nil, fmt.Errorf("scale: %d-node simulations diverged between fast and classic engines:\n fast    %+v\n classic %+v",
 				n, fastStats, classicStats)
 		}
 		rep.Points = append(rep.Points, pt)
 	}
-	if path == "" {
-		return nil
-	}
-	return writeJSON(path, rep)
+	return rep, nil
 }
 
 // peakRSSKB reads the process's resident high-water mark (VmHWM) from

@@ -14,8 +14,9 @@ import (
 
 // cacheReport runs a short offloaded workload (flow-routing over a small
 // synthetic terrain, round-robin placement, repeated so the cache warms)
-// with the halo-strip cache enabled and prints each server's cache stats,
-// the cluster-wide counters, and the tuning actions the manager took.
+// with the halo-strip cache enabled and prints each server's cache stats
+// and the cluster-wide counters. Pin tuning needs the p99 controller, which
+// controlReport demonstrates.
 func cacheReport(w io.Writer, servers int, policy string, rounds int) error {
 	if servers <= 0 {
 		return fmt.Errorf("servers must be positive")
@@ -63,9 +64,6 @@ func cacheReport(w io.Writer, servers int, policy string, rounds int) error {
 		fmt.Fprintf(w, "%s\n", s.String())
 	}
 	fmt.Fprintf(w, "\ncluster: %s\n", sys.Clu.CacheStats.String())
-	fmt.Fprintf(w, "tuning: %d ticks, %d actions\n", sys.Cache.Ticks(), len(sys.Cache.Actions()))
-	for _, a := range sys.Cache.Actions() {
-		fmt.Fprintf(w, "  %-8v server %d %s %s strip %d\n", a.At, a.Server, a.Kind, a.File, a.Strip)
-	}
+	fmt.Fprintln(w, "pin tuning runs under the p99 controller: see dasctl -control")
 	return nil
 }

@@ -44,13 +44,10 @@ func main() {
 	cacheDemo := flag.Bool("cache", false,
 		"run a short offloaded workload with the halo-strip cache enabled and report per-server cache stats")
 	cachePolicy := flag.String("cache-policy", "lru", "cache eviction policy for -cache: lru or arc")
-	cacheRounds := flag.Int("cache-rounds", 3, "offloaded rounds for -cache")
 	restripeDemo := flag.Bool("restripe", false,
 		"run a short offloaded workload with online restriping enabled and report the migration's progress and throttle behaviour")
-	restripeRounds := flag.Int("restripe-rounds", 3, "offloaded rounds for -restripe")
 	controlDemo := flag.Bool("control", false,
 		"run a short offloaded workload under the unified p99 latency controller and report its sketches, sample accounting, and tuning actions")
-	controlRounds := flag.Int("control-rounds", 4, "offloaded rounds for -control")
 	tenantsDemo := flag.Bool("tenants", false,
 		"replay a small multi-tenant Zipf workload under admission control and report per-tenant fairness, queue tails, and file heat")
 	streams := flag.Int("streams", 48, "concurrent client streams for -tenants")
@@ -64,11 +61,11 @@ func main() {
 		case *kernelsList:
 			err = kernelsReport(os.Stdout)
 		case *cacheDemo:
-			err = cacheReport(os.Stdout, *servers, *cachePolicy, *cacheRounds)
+			err = cacheReport(os.Stdout, *servers, *cachePolicy, 3)
 		case *restripeDemo:
-			err = restripeReport(os.Stdout, *servers, *restripeRounds)
+			err = restripeReport(os.Stdout, *servers, 3)
 		case *controlDemo:
-			err = controlReport(os.Stdout, *servers, *controlRounds)
+			err = controlReport(os.Stdout, *servers, 4)
 		case *tenantsDemo:
 			err = tenantsReport(os.Stdout, *servers, *streams)
 		default:

@@ -2,17 +2,16 @@
 // bounded, byte-budgeted cache per storage server holding copies of the
 // *remote* strips the server fetched to satisfy dependence halos during
 // offloaded execution, plus a cluster-wide manager (manager.go) that
-// watches per-server hit rates and observed fetch latencies on the DES
-// clock and tunes which strips stay pinned.
+// tracks per-file heat and runs the pin/unpin passes.
 //
 // The paper's improved distribution (Eqs. 14–17) fixes group size r and
 // the boundary replicas at file-creation time; a workload whose hotspot
 // drifts still pays remote fetches for dependent strips — the
 // server↔server traffic Fig. 6 shows killing NAS. The cache absorbs that
-// traffic after the first pass, and the manager's latency-threshold loop
-// (after DynamicCache's shard manager, recast onto strips) turns the
-// hottest cached boundary strips into pinned replicas on the dependent
-// server.
+// traffic after the first pass, and the p99 controller (internal/control,
+// after DynamicCache's shard manager, recast onto strips) drives the
+// manager's passes that turn the hottest cached boundary strips into
+// pinned replicas on the dependent server.
 //
 // Correctness rules:
 //
@@ -20,9 +19,9 @@
 //     returns a pool-backed copy the consumer releases as usual.
 //   - A write to a strip invalidates every cached copy of it cluster-wide
 //     (the pfs write path calls Manager.InvalidateStrip from storePut).
-//   - A server restart purges its cache: caches are memory, and PR 2's
-//     incarnation counters make the purge lazy and deterministic — the
-//     first access after a bump drops everything.
+//   - A server restart purges its cache: caches are memory, and the fault
+//     layer's incarnation counters make the purge lazy and deterministic —
+//     the first access after a bump drops everything.
 //   - All state is engine-goroutine state keyed and ordered by lists, not
 //     map iteration, and all timestamps are DES times: two identical runs
 //     produce identical stats and identical victims.
@@ -34,7 +33,6 @@ import (
 
 	"github.com/hpcio/das/internal/metrics"
 	"github.com/hpcio/das/internal/pfs"
-	"github.com/hpcio/das/internal/sim"
 )
 
 // Key addresses one cached strip of one file.
@@ -49,7 +47,7 @@ type entry struct {
 	data     []byte
 	lo, hi   int64
 	pinned   bool
-	winHits  int64 // hits since the manager's last sample
+	winHits  int64 // hits since the last window reset
 	winFetch int64 // remote fetches that (re)admitted it this window
 	hits     int64 // lifetime hits
 }
@@ -99,10 +97,8 @@ type ServerCache struct {
 	stats Stats
 	agg   *metrics.Cache
 
-	// sampling window for the manager: fetch observations since last tick.
-	winFetches  int64
-	winFetchLat sim.Time
-	winHits     int64
+	// winHits counts hits since the controller's last window reset.
+	winHits int64
 }
 
 // newServerCache builds one server's cache. agg may be nil.
@@ -136,10 +132,9 @@ func (c *ServerCache) checkIncarnation() {
 		return
 	}
 	c.inc = cur
-	// The pre-restart sampling window died with the server's memory:
-	// discard it outright rather than letting the tuning loop average
-	// stale pre-crash latencies into the post-restart sample.
-	c.winFetches, c.winFetchLat, c.winHits = 0, 0, 0
+	// The pre-restart hit window died with the server's memory: discard
+	// it outright so pre-crash hits never read as a post-restart signal.
+	c.winHits = 0
 	if len(c.entries) == 0 {
 		return
 	}
@@ -178,18 +173,12 @@ func (c *ServerCache) Get(file string, strip, lo, hi int64) ([]byte, bool) {
 }
 
 // RecordMiss accounts a lookup the cache could not serve; bytes is what
-// the remote fetch moved, lat what it cost. The manager samples the
-// latency window to drive its tuning loop.
-func (c *ServerCache) RecordMiss(bytes int64, lat sim.Time) {
-	// Apply a pending restart purge before accumulating, not after: the
-	// purge resets the sampling window, and this first post-restart sample
-	// belongs to the new incarnation's window, not the discarded one.
+// the remote fetch moved.
+func (c *ServerCache) RecordMiss(bytes int64) {
 	c.checkIncarnation()
 	c.stats.Misses++
 	c.stats.MissBytes += bytes
 	c.agg.AddMiss(bytes)
-	c.winFetches++
-	c.winFetchLat += lat
 }
 
 // Put admits a copy of bytes [lo, hi) of a strip (relative to the strip

@@ -3,8 +3,6 @@ package cache
 import (
 	"bytes"
 	"testing"
-
-	"github.com/hpcio/das/internal/sim"
 )
 
 func newTestCache(budget int64, incFn func() uint64) *ServerCache {
@@ -164,13 +162,10 @@ func TestCachePutKeepsWiderRange(t *testing.T) {
 	}
 }
 
-func TestCacheRecordMissFeedsWindow(t *testing.T) {
+func TestCacheRecordMissCountsBytes(t *testing.T) {
 	c := newTestCache(1024, nil)
-	c.RecordMiss(64, 10*sim.Microsecond)
-	c.RecordMiss(64, 30*sim.Microsecond)
-	if c.winFetches != 2 || c.winFetchLat != 40*sim.Microsecond {
-		t.Errorf("window = %d fetches / %v", c.winFetches, c.winFetchLat)
-	}
+	c.RecordMiss(64)
+	c.RecordMiss(64)
 	s := c.Snapshot()
 	if s.Misses != 2 || s.MissBytes != 128 {
 		t.Errorf("misses = %d / %d bytes", s.Misses, s.MissBytes)

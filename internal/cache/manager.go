@@ -18,16 +18,8 @@ type Config struct {
 	MaxPinnedFrac float64
 	// Policy names the eviction policy: "lru" (default) or "arc".
 	Policy string
-	// SampleEvery is the manager's tuning-tick period on the DES clock.
-	SampleEvery sim.Time
-	// LatencyHigh promotes: when a server's mean halo-fetch latency over
-	// a window exceeds it, the server's hottest cached strips get pinned.
-	LatencyHigh sim.Time
-	// LatencyLow demotes: when the mean latency falls below it, pinned
-	// strips that saw no hits in the window get unpinned.
-	LatencyLow sim.Time
-	// MaxPromotionsPerTick bounds how many strips one tick may pin on one
-	// server, keeping the loop incremental like DynamicCache's.
+	// MaxPromotionsPerTick bounds how many strips one promote pass may pin
+	// on one server, keeping the tuning loop incremental like DynamicCache's.
 	MaxPromotionsPerTick int
 }
 
@@ -44,24 +36,6 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.MaxPinnedFrac < 0 || c.MaxPinnedFrac > 1 {
 		return c, fmt.Errorf("cache: MaxPinnedFrac %v outside [0,1]", c.MaxPinnedFrac)
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 5 * sim.Millisecond
-	}
-	if c.SampleEvery < 0 {
-		return c, fmt.Errorf("cache: negative sample period %v", c.SampleEvery)
-	}
-	if c.LatencyHigh == 0 {
-		c.LatencyHigh = 500 * sim.Microsecond
-	}
-	if c.LatencyLow == 0 {
-		c.LatencyLow = 100 * sim.Microsecond
-	}
-	if c.LatencyLow >= c.LatencyHigh {
-		// Equality is as broken as inversion: a window mean sitting on the
-		// shared threshold would promote and demote the same server in one
-		// tick, silently thrashing pins.
-		return c, fmt.Errorf("cache: LatencyLow %v >= LatencyHigh %v (hysteresis band is empty)", c.LatencyLow, c.LatencyHigh)
 	}
 	if c.MaxPromotionsPerTick == 0 {
 		c.MaxPromotionsPerTick = 4
@@ -86,13 +60,11 @@ func (a Action) String() string {
 	return fmt.Sprintf("[%v] server %d %s %s strip %d", a.At, a.Server, a.Kind, a.File, a.Strip)
 }
 
-// Manager owns one ServerCache per storage server and runs the
-// latency-driven replica-tuning loop as a goroutine-free chain of daemon
-// timers on the DES clock: each tick samples every server's fetch-latency
-// and hit window, pins the hottest strips on servers whose halo fetches
-// run slow, unpins idle strips on servers whose fetches run fast, and
-// reschedules itself. Daemon timers do not keep Engine.Run alive, so an
-// idle manager never deadlocks a finished workload.
+// Manager owns one ServerCache per storage server, the per-file heat the
+// predictor and the restriper read, and the replica-tuning passes. It has
+// no trigger of its own: pins move only when the p99 controller
+// (internal/control) calls PromoteHotServer / DemoteIdleServer, so a
+// cache without a controller caches but never pins.
 type Manager struct {
 	eng     *sim.Engine
 	cfg     Config
@@ -109,14 +81,6 @@ type Manager struct {
 	fileBand map[string]int64
 
 	actions []Action
-	ticks   int64
-	timer   *sim.Timer
-	started bool
-
-	// external marks the manager as driven by the unified p99 controller:
-	// the mean-window tick stops scheduling and promote/demote happen only
-	// through PromoteHotServer / DemoteIdleServer.
-	external bool
 	// latSink, when set, receives every halo-fetch latency sample the
 	// manager records — the controller's per-server tuning feed.
 	latSink func(srv int, lat sim.Time)
@@ -171,25 +135,6 @@ func (m *Manager) NumServers() int { return len(m.servers) }
 // Counters returns the cluster-wide counter collector.
 func (m *Manager) Counters() *metrics.Cache { return m.agg }
 
-// Start arms the tuning loop. Safe to call once per engine run; ticks are
-// daemon timers, so an idle system still terminates.
-func (m *Manager) Start() {
-	if m.started || m.external || m.cfg.SampleEvery <= 0 {
-		return
-	}
-	m.started = true
-	m.timer = m.eng.AfterFuncDaemon(m.cfg.SampleEvery, m.tick)
-}
-
-// Stop disarms the tuning loop.
-func (m *Manager) Stop() {
-	if m.timer != nil {
-		m.timer.Stop()
-		m.timer = nil
-	}
-	m.started = false
-}
-
 // Get serves bytes [lo, hi) of a strip from server srv's cache. Hits are
 // free on the DES clock: the data already sits in the server's memory, so
 // the simulated cost is the in-memory copy the caller performs anyway.
@@ -207,13 +152,13 @@ func (m *Manager) Get(srv int, file string, strip, lo, hi int64) ([]byte, bool) 
 
 // RecordFetch accounts a remote halo fetch server srv had to perform —
 // a cache miss — and admits a copy of the fetched bytes. lat is the
-// observed DES latency of the fetch, which drives the tuning loop.
+// observed DES latency of the fetch, forwarded to the latency sink.
 func (m *Manager) RecordFetch(srv int, file string, strip, lo int64, data []byte, lat sim.Time) {
 	c := m.Server(srv)
 	if c == nil {
 		return
 	}
-	c.RecordMiss(int64(len(data)), lat)
+	c.RecordMiss(int64(len(data)))
 	m.fileMiss[file] += int64(len(data))
 	c.Put(file, strip, lo, data)
 	if m.latSink != nil {
@@ -315,9 +260,6 @@ func (m *Manager) TopFiles(n int) []FileHeat {
 // Actions returns the replica-tuning log in decision order.
 func (m *Manager) Actions() []Action { return m.actions }
 
-// Ticks returns how many tuning ticks have run.
-func (m *Manager) Ticks() int64 { return m.ticks }
-
 // Stats returns per-server snapshots in server order.
 func (m *Manager) Stats() []Stats {
 	out := make([]Stats, 0, len(m.servers))
@@ -327,87 +269,63 @@ func (m *Manager) Stats() []Stats {
 	return out
 }
 
-// tick is one pass of the tuning loop: servers in index order, candidate
-// strips in (hits desc, file asc, strip asc) order — fully deterministic.
-// Threshold checks compare the window sum against threshold×n instead of
-// dividing: the truncating mean rounded toward promote-never/demote-always
-// at the boundaries (a true mean a hair over LatencyLow truncated down to
-// it and still demoted).
-func (m *Manager) tick() {
-	if m.external {
-		return // an external controller owns the trigger now
-	}
-	m.ticks++
-	for _, c := range m.servers {
-		c.checkIncarnation()
-		n := sim.Time(c.winFetches)
-		if c.winFetches > 0 {
-			if c.winFetchLat >= m.cfg.LatencyHigh*n {
-				m.promoteHot(c, false)
-			}
-		} else if c.winHits > 0 {
-			// No fetches but hits: the cache already absorbs the halo
-			// traffic cheaply; release pins that went idle.
-			m.demoteIdle(c)
-		}
-		if c.winFetches > 0 && c.winFetchLat <= m.cfg.LatencyLow*n {
-			m.demoteIdle(c)
-		}
-		// reset the sampling window
-		c.winFetches, c.winFetchLat, c.winHits = 0, 0, 0
-		for _, e := range c.entries {
-			e.winHits, e.winFetch = 0, 0
-		}
-	}
-	m.timer = m.eng.AfterFuncDaemon(m.cfg.SampleEvery, m.tick)
-}
+// --- Controller interface --------------------------------------------
+//
+// The p99 controller (internal/control) owns the tuning trigger: it keeps
+// quantile sketches over the latency samples forwarded by SetLatencySink
+// and calls the promote/demote entry points below when a percentile
+// threshold with hysteresis says so. The manager stays the owner of the
+// caches, the pin budget, the candidate ordering, and the action log.
 
-// promoteHot pins the most-hit unpinned strips of a slow server,
-// returning how many strips it pinned. With includeFetched, strips the
-// server (re)fetched this window rank behind the re-hit candidates: in a
-// window whose tail is already over threshold, the just-fetched strips
-// are precisely the ones whose next access repeats the slow fetch, so
-// pinning them is how a cold, thrashing cache bootstraps — under a
-// cyclic access pattern wider than the budget no entry ever survives to
-// be re-hit, and a hits-only candidate set can never act.
-func (m *Manager) promoteHot(c *ServerCache, includeFetched bool) int {
+// SetLatencySink registers a listener for every halo-fetch latency sample
+// (nil disables). Called from RecordFetch with the fetching server.
+func (m *Manager) SetLatencySink(fn func(srv int, lat sim.Time)) { m.latSink = fn }
+
+// PromoteHotServer runs one promote pass on server srv and returns how
+// many strips it pinned, bounded by MaxPromotionsPerTick and the pin
+// budget. Candidates are the unpinned strips re-hit this window in (hits
+// desc, file asc, strip asc) order, then the strips (re)fetched this
+// window in (fetches desc, file asc, strip asc) order. The controller's
+// percentile trigger has already attributed the window's tail to this
+// server, so the just-fetched strips are precisely the ones whose next
+// access repeats the slow fetch: pinning them is how a cold, thrashing
+// cache bootstraps — under a cyclic access pattern wider than the budget
+// no entry ever survives to be re-hit, and a hits-only candidate set
+// could never act.
+func (m *Manager) PromoteHotServer(srv int) int {
+	c := m.Server(srv)
+	if c == nil {
+		return 0
+	}
+	c.checkIncarnation()
 	type cand struct {
-		k    Key
-		hits int64
+		k       Key
+		fetched bool // ranks behind every re-hit candidate
+		count   int64
 	}
 	var cands []cand
 	for k, e := range c.entries {
-		if !e.pinned && e.winHits > 0 {
-			cands = append(cands, cand{k, e.winHits})
+		switch {
+		case e.pinned:
+		case e.winHits > 0:
+			cands = append(cands, cand{k, false, e.winHits})
+		case e.winFetch > 0:
+			cands = append(cands, cand{k, true, e.winFetch})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].hits != cands[j].hits {
-			return cands[i].hits > cands[j].hits
+		a, b := cands[i], cands[j]
+		if a.fetched != b.fetched {
+			return !a.fetched
 		}
-		if cands[i].k.File != cands[j].k.File {
-			return cands[i].k.File < cands[j].k.File
+		if a.count != b.count {
+			return a.count > b.count
 		}
-		return cands[i].k.Strip < cands[j].k.Strip
+		if a.k.File != b.k.File {
+			return a.k.File < b.k.File
+		}
+		return a.k.Strip < b.k.Strip
 	})
-	if includeFetched {
-		var fetched []cand
-		for k, e := range c.entries {
-			if !e.pinned && e.winHits == 0 && e.winFetch > 0 {
-				fetched = append(fetched, cand{k, e.winFetch})
-			}
-		}
-		sort.Slice(fetched, func(i, j int) bool {
-			if fetched[i].hits != fetched[j].hits {
-				return fetched[i].hits > fetched[j].hits
-			}
-			if fetched[i].k.File != fetched[j].k.File {
-				return fetched[i].k.File < fetched[j].k.File
-			}
-			return fetched[i].k.Strip < fetched[j].k.Strip
-		})
-		cands = append(cands, fetched...)
-	}
 	n := 0
 	for _, cd := range cands {
 		if n >= m.cfg.MaxPromotionsPerTick {
@@ -421,9 +339,15 @@ func (m *Manager) promoteHot(c *ServerCache, includeFetched bool) int {
 	return n
 }
 
-// demoteIdle unpins pinned strips that saw no hits in the window,
-// returning how many strips it unpinned.
-func (m *Manager) demoteIdle(c *ServerCache) int {
+// DemoteIdleServer runs one demote pass on server srv — unpin its pinned
+// strips that saw no hits this window, in (file asc, strip asc) order —
+// and returns how many strips it unpinned.
+func (m *Manager) DemoteIdleServer(srv int) int {
+	c := m.Server(srv)
+	if c == nil {
+		return 0
+	}
+	c.checkIncarnation()
 	var keys []Key
 	for k, e := range c.entries {
 		if e.pinned && e.winHits == 0 {
@@ -446,60 +370,6 @@ func (m *Manager) demoteIdle(c *ServerCache) int {
 	return n
 }
 
-// --- External-controller interface -----------------------------------
-//
-// The unified p99 controller (internal/control) replaces the mean-window
-// trigger above: it keeps its own quantile sketches over the latency
-// samples forwarded by SetLatencySink and calls the exported promote/
-// demote entry points when a percentile threshold with hysteresis says
-// so. The manager stays the owner of the caches, the pin budget, the
-// candidate ordering, and the action log, so a controlled run and a
-// standalone run produce the same kinds of deterministic decisions.
-
-// SetExternalTuning hands the promote/demote trigger to an external
-// controller (or back). While external, Start is a no-op, any armed tick
-// stops, and promotions/demotions happen only through PromoteHotServer /
-// DemoteIdleServer; sampling state still accumulates so the controller
-// can inspect and reset it with ResetWindows.
-func (m *Manager) SetExternalTuning(on bool) {
-	m.external = on
-	if on {
-		m.Stop()
-	}
-}
-
-// SetLatencySink registers a listener for every halo-fetch latency sample
-// (nil disables). Called from RecordFetch with the fetching server.
-func (m *Manager) SetLatencySink(fn func(srv int, lat sim.Time)) { m.latSink = fn }
-
-// PromoteHotServer runs one promote pass on server srv — pin its most-hit
-// unpinned strips, then the strips it fetched this window, bounded by
-// MaxPromotionsPerTick and the pin budget — and returns how many strips
-// were pinned. Only the external controller takes the fetched-candidate
-// path: its percentile trigger has already attributed the window's tail
-// to this server, so the strips that window fetched are the ones a
-// replica would have served locally.
-func (m *Manager) PromoteHotServer(srv int) int {
-	c := m.Server(srv)
-	if c == nil {
-		return 0
-	}
-	c.checkIncarnation()
-	return m.promoteHot(c, true)
-}
-
-// DemoteIdleServer runs one demote pass on server srv — unpin its pinned
-// strips that saw no hits this window — and returns how many strips were
-// unpinned.
-func (m *Manager) DemoteIdleServer(srv int) int {
-	c := m.Server(srv)
-	if c == nil {
-		return 0
-	}
-	c.checkIncarnation()
-	return m.demoteIdle(c)
-}
-
 // WindowHits returns how many cache hits server srv served since the last
 // window reset — the controller's idle-pin signal for windows with no
 // fetches at all.
@@ -512,14 +382,13 @@ func (m *Manager) WindowHits(srv int) int64 {
 }
 
 // ResetWindows closes the current sampling window on every server: it
-// applies pending incarnation purges and clears the per-server fetch/hit
-// counters and per-entry hit windows. The external controller calls it at
-// the end of each tuning tick; the manager's own tick does the equivalent
-// inline.
+// applies pending incarnation purges and clears the per-server hit
+// counters and per-entry hit/fetch windows. The controller calls it at the
+// end of each tuning tick.
 func (m *Manager) ResetWindows() {
 	for _, c := range m.servers {
 		c.checkIncarnation()
-		c.winFetches, c.winFetchLat, c.winHits = 0, 0, 0
+		c.winHits = 0
 		for _, e := range c.entries {
 			e.winHits, e.winFetch = 0, 0
 		}

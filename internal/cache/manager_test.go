@@ -9,9 +9,6 @@ import (
 func testConfig() Config {
 	return Config{
 		BudgetBytes:          1024,
-		SampleEvery:          sim.Millisecond,
-		LatencyHigh:          100 * sim.Microsecond,
-		LatencyLow:           10 * sim.Microsecond,
 		MaxPromotionsPerTick: 2,
 	}
 }
@@ -21,13 +18,12 @@ func TestConfigNormalizeDefaultsAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.BudgetBytes <= 0 || cfg.SampleEvery <= 0 || cfg.LatencyHigh <= cfg.LatencyLow {
+	if cfg.BudgetBytes <= 0 || cfg.MaxPinnedFrac <= 0 || cfg.MaxPromotionsPerTick <= 0 {
 		t.Errorf("bad defaults: %+v", cfg)
 	}
 	for _, bad := range []Config{
 		{BudgetBytes: -1},
 		{MaxPinnedFrac: 1.5},
-		{LatencyLow: 2 * sim.Millisecond, LatencyHigh: sim.Millisecond},
 		{Policy: "fifo"},
 	} {
 		if _, err := bad.Normalize(); err == nil {
@@ -37,31 +33,23 @@ func TestConfigNormalizeDefaultsAndErrors(t *testing.T) {
 }
 
 func TestManagerPromotesHotStripsOnSlowFetches(t *testing.T) {
-	eng := sim.NewEngine()
-	m, err := NewManager(eng, 2, testConfig(), nil, nil)
+	m, err := NewManager(sim.NewEngine(), 2, testConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Start()
 	buf := make([]byte, 64)
-	eng.Spawn("workload", func(p *sim.Proc) {
-		// Server 0 pays slow fetches for three strips, then hits two of
-		// them — strip 2 twice, strip 1 once.
-		for s := int64(1); s <= 3; s++ {
-			m.RecordFetch(0, "f", s, 0, buf, 200*sim.Microsecond)
-		}
-		for _, s := range []int64{2, 2, 1} {
-			if _, ok := m.Get(0, "f", s, 0, 64); !ok {
-				t.Errorf("warm lookup for strip %d missed", s)
-			}
-		}
-		p.Sleep(1500 * sim.Microsecond) // past the first tick
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	// Server 0 pays slow fetches for three strips, then hits two of them —
+	// strip 2 twice, strip 1 once — and the controller calls a promote pass.
+	for s := int64(1); s <= 3; s++ {
+		m.RecordFetch(0, "f", s, 0, buf, 200*sim.Microsecond)
 	}
-	if m.Ticks() == 0 {
-		t.Fatal("tuning loop never ticked")
+	for _, s := range []int64{2, 2, 1} {
+		if _, ok := m.Get(0, "f", s, 0, 64); !ok {
+			t.Errorf("warm lookup for strip %d missed", s)
+		}
+	}
+	if n := m.PromoteHotServer(0); n != 2 {
+		t.Fatalf("PromoteHotServer = %d, want 2", n)
 	}
 	acts := m.Actions()
 	if len(acts) != 2 {
@@ -78,43 +66,85 @@ func TestManagerPromotesHotStripsOnSlowFetches(t *testing.T) {
 		t.Error("promoted strips not pinned")
 	}
 	if m.Server(0).Pinned("f", 3) {
-		t.Error("cold strip pinned")
+		t.Error("cold strip pinned past the per-pass bound")
 	}
-	if m.Server(1).UsedBytes() != 0 {
+	if m.Server(1).UsedBytes() != 0 || m.PromoteHotServer(1) != 0 {
 		t.Error("idle server's cache touched")
 	}
 }
 
-func TestManagerDemotesIdlePinsWhenFetchesRunFast(t *testing.T) {
-	eng := sim.NewEngine()
-	m, err := NewManager(eng, 1, testConfig(), nil, nil)
+// TestManagerPromoteCandidateOrder pins the promote pass's full ranking:
+// re-hit strips by (hits desc, file asc, strip asc), then the strips the
+// window only fetched — the bootstrap candidates — by (file asc, strip
+// asc), MaxPromotionsPerTick at a time.
+func TestManagerPromoteCandidateOrder(t *testing.T) {
+	m, err := NewManager(sim.NewEngine(), 1, testConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Start()
 	buf := make([]byte, 64)
-	eng.Spawn("workload", func(p *sim.Proc) {
-		// Window 1: slow fetch + hit → promotion at the first tick.
-		m.RecordFetch(0, "f", 1, 0, buf, 500*sim.Microsecond)
-		m.Get(0, "f", 1, 0, 64)
-		p.Sleep(1500 * sim.Microsecond)
-		if !m.Server(0).Pinned("f", 1) {
-			t.Error("strip not pinned after slow window")
+	for _, k := range []Key{{"g", 1}, {"f", 5}, {"f", 4}, {"f", 3}, {"e", 7}} {
+		m.RecordFetch(0, k.File, k.Strip, 0, buf, sim.Millisecond)
+	}
+	for _, k := range []Key{{"g", 1}, {"f", 3}, {"f", 5}, {"g", 1}, {"f", 3}} {
+		m.Get(0, k.File, k.Strip, 0, 64)
+	}
+	for pass, want := range []int{2, 2, 1, 0} {
+		if n := m.PromoteHotServer(0); n != want {
+			t.Fatalf("pass %d pinned %d, want %d", pass, n, want)
 		}
-		// Window 2: fast fetch traffic elsewhere, the pinned strip idle →
-		// demotion at the next tick.
-		m.RecordFetch(0, "f", 9, 0, buf, sim.Microsecond)
-		p.Sleep(sim.Millisecond)
-	})
-	if err := eng.Run(); err != nil {
+	}
+	want := []Key{{"f", 3}, {"g", 1}, {"f", 5}, {"e", 7}, {"f", 4}}
+	acts := m.Actions()
+	if len(acts) != len(want) {
+		t.Fatalf("actions = %v, want %d promotions", acts, len(want))
+	}
+	for i, k := range want {
+		if acts[i].Kind != "promote" || acts[i].File != k.File || acts[i].Strip != k.Strip {
+			t.Errorf("promotion %d = %v, want %s strip %d", i, acts[i], k.File, k.Strip)
+		}
+	}
+	// A reset window leaves no candidates: nothing was re-hit or fetched.
+	m.DemoteIdleServer(0)
+	m.ResetWindows()
+	if n := m.PromoteHotServer(0); n != 0 {
+		t.Errorf("promote after a quiet window pinned %d strips", n)
+	}
+}
+
+func TestManagerDemotesIdlePinsWhenFetchesRunFast(t *testing.T) {
+	m, err := NewManager(sim.NewEngine(), 1, Config{BudgetBytes: 1024, MaxPromotionsPerTick: 4}, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Server(0).Pinned("f", 1) {
+	buf := make([]byte, 64)
+	// Window 1: slow fetches + hits → the controller promotes all three.
+	for _, k := range []Key{{"g", 1}, {"f", 2}, {"f", 1}} {
+		m.RecordFetch(0, k.File, k.Strip, 0, buf, 500*sim.Microsecond)
+		m.Get(0, k.File, k.Strip, 0, 64)
+	}
+	if n := m.PromoteHotServer(0); n != 3 {
+		t.Fatalf("setup promoted %d strips, want 3", n)
+	}
+	m.ResetWindows()
+	// Window 2: fast fetch traffic elsewhere, one pin still hit → the
+	// controller's demote pass releases the two idle pins in (file, strip)
+	// order and keeps the hit one.
+	m.RecordFetch(0, "f", 9, 0, buf, sim.Microsecond)
+	m.Get(0, "f", 2, 0, 64)
+	if n := m.DemoteIdleServer(0); n != 2 {
+		t.Fatalf("DemoteIdleServer = %d, want 2", n)
+	}
+	if !m.Server(0).Pinned("f", 2) {
+		t.Error("pin hit this window was demoted")
+	}
+	if m.Server(0).Pinned("f", 1) || m.Server(0).Pinned("g", 1) {
 		t.Error("idle pin survived a fast window")
 	}
 	acts := m.Actions()
-	if len(acts) != 2 || acts[1].Kind != "demote" {
-		t.Errorf("actions = %v, want promote then demote", acts)
+	if len(acts) != 5 || acts[3].Kind != "demote" || acts[3].File != "f" || acts[3].Strip != 1 ||
+		acts[4].Kind != "demote" || acts[4].File != "g" || acts[4].Strip != 1 {
+		t.Errorf("actions = %v, want three promotes then demote f/1, g/1", acts)
 	}
 }
 
@@ -188,157 +218,38 @@ func TestManagerRestartPurgeViaIncarnation(t *testing.T) {
 	}
 }
 
-func TestManagerStopHaltsTicks(t *testing.T) {
-	eng := sim.NewEngine()
-	m, err := NewManager(eng, 1, testConfig(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Start()
-	eng.Spawn("workload", func(p *sim.Proc) {
-		p.Sleep(1500 * sim.Microsecond)
-		m.Stop()
-		p.Sleep(3 * sim.Millisecond)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Ticks() != 1 {
-		t.Errorf("ticks = %d after Stop, want 1", m.Ticks())
-	}
-}
-
-func TestConfigNormalizeRejectsEmptyHysteresisBand(t *testing.T) {
-	// LatencyHigh == LatencyLow used to pass validation, letting one tick
-	// run promoteHot and demoteIdle on the same server.
-	bad := Config{LatencyHigh: 50 * sim.Microsecond, LatencyLow: 50 * sim.Microsecond}
-	if _, err := bad.Normalize(); err == nil {
-		t.Fatal("LatencyHigh == LatencyLow accepted")
-	}
-	inverted := Config{LatencyHigh: 10 * sim.Microsecond, LatencyLow: 20 * sim.Microsecond}
-	if _, err := inverted.Normalize(); err == nil {
-		t.Fatal("LatencyHigh < LatencyLow accepted")
-	}
-	if _, err := NewManager(sim.NewEngine(), 1, bad, nil, nil); err == nil {
-		t.Fatal("NewManager accepted an empty hysteresis band")
-	}
-}
-
-func TestManagerTickThresholdBoundaries(t *testing.T) {
-	// The window mean used truncating integer division: with two fetches
-	// summing to 2·LatencyLow+1 the true mean is a hair over LatencyLow,
-	// but 21µs/2 truncated to 10µs and still demoted. The cross-multiplied
-	// comparison must keep the pin. The exact boundary (sum == 2·Low) must
-	// still demote, and the promote side must stay exact too.
-	cfg := testConfig() // High = 100µs, Low = 10µs
-	run := func(fn func(p *sim.Proc, m *Manager)) *Manager {
-		eng := sim.NewEngine()
-		m, err := NewManager(eng, 1, cfg, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Start()
-		eng.Spawn("workload", func(p *sim.Proc) { fn(p, m) })
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	buf := make([]byte, 64)
-	pinOne := func(p *sim.Proc, m *Manager) {
-		// Window 1: promote strip 1 so later windows have a pin to protect.
-		m.RecordFetch(0, "f", 1, 0, buf, 500*sim.Microsecond)
-		m.Get(0, "f", 1, 0, 64)
-		p.Sleep(1500 * sim.Microsecond)
-		if !m.Server(0).Pinned("f", 1) {
-			t.Fatal("setup promotion did not happen")
-		}
-	}
-
-	// Demote boundary: sum = 2·Low+1 → true mean over Low → keep the pin.
-	m := run(func(p *sim.Proc, m *Manager) {
-		pinOne(p, m)
-		m.RecordFetch(0, "f", 8, 0, buf, 10*sim.Microsecond)
-		m.RecordFetch(0, "f", 9, 0, buf, 11*sim.Microsecond)
-		p.Sleep(sim.Millisecond)
-	})
-	if !m.Server(0).Pinned("f", 1) {
-		t.Error("mean a hair over LatencyLow demoted (truncating-division bug)")
-	}
-
-	// Demote boundary: sum = 2·Low → mean exactly Low → demote.
-	m = run(func(p *sim.Proc, m *Manager) {
-		pinOne(p, m)
-		m.RecordFetch(0, "f", 8, 0, buf, 10*sim.Microsecond)
-		m.RecordFetch(0, "f", 9, 0, buf, 10*sim.Microsecond)
-		p.Sleep(sim.Millisecond)
-	})
-	if m.Server(0).Pinned("f", 1) {
-		t.Error("mean exactly LatencyLow kept the idle pin")
-	}
-
-	// Promote boundary: sum = 2·High−1 → true mean under High → no promote.
-	m = run(func(p *sim.Proc, m *Manager) {
-		m.RecordFetch(0, "f", 1, 0, buf, 100*sim.Microsecond)
-		m.RecordFetch(0, "f", 2, 0, buf, 99*sim.Microsecond+999*sim.Nanosecond)
-		m.Get(0, "f", 1, 0, 64)
-		p.Sleep(1500 * sim.Microsecond)
-	})
-	if m.Server(0).Pinned("f", 1) {
-		t.Error("mean under LatencyHigh promoted")
-	}
-
-	// Promote boundary: sum = 2·High → mean exactly High → promote.
-	m = run(func(p *sim.Proc, m *Manager) {
-		m.RecordFetch(0, "f", 1, 0, buf, 100*sim.Microsecond)
-		m.RecordFetch(0, "f", 2, 0, buf, 100*sim.Microsecond)
-		m.Get(0, "f", 1, 0, 64)
-		p.Sleep(1500 * sim.Microsecond)
-	})
-	if !m.Server(0).Pinned("f", 1) {
-		t.Error("mean exactly LatencyHigh did not promote")
-	}
-}
-
 func TestManagerDiscardsWindowAcrossRestart(t *testing.T) {
-	// A crash+restart mid-window must discard the pre-crash samples, not
-	// average them into the post-restart window: one huge pre-crash fetch
-	// plus one fast post-restart fetch used to look like a slow window and
-	// promote on a server that is actually healthy.
-	eng := sim.NewEngine()
+	// A crash+restart mid-window must discard the pre-crash hit window,
+	// not carry it into the post-restart one: pre-crash hits would
+	// otherwise read as re-hit candidates and as an idle-pin signal on a
+	// server whose memory is actually empty.
 	incs := []uint64{1}
-	m, err := NewManager(eng, 1, testConfig(), func(int) uint64 { return incs[0] }, nil)
+	m, err := NewManager(sim.NewEngine(), 1, testConfig(), func(int) uint64 { return incs[0] }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Start()
 	buf := make([]byte, 64)
-	eng.Spawn("workload", func(p *sim.Proc) {
-		m.RecordFetch(0, "f", 1, 0, buf, 10*sim.Millisecond) // slow, pre-crash
-		incs[0] = 2                                          // crash + restart mid-window
-		m.RecordFetch(0, "f", 2, 0, buf, sim.Microsecond)    // fast, post-restart
-		m.Get(0, "f", 2, 0, 64)                              // promote candidate if the window looks slow
-		c := m.Server(0)
-		if c.winFetches != 1 || c.winFetchLat != sim.Microsecond {
-			t.Errorf("window after restart = %d fetches / %v, want only the post-restart sample",
-				c.winFetches, c.winFetchLat)
-		}
-		p.Sleep(1500 * sim.Microsecond)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	m.RecordFetch(0, "f", 1, 0, buf, 10*sim.Millisecond) // pre-crash
+	m.Get(0, "f", 1, 0, 64)
+	m.Get(0, "f", 1, 0, 64)
+	incs[0] = 2                                       // crash + restart mid-window
+	m.RecordFetch(0, "f", 2, 0, buf, sim.Microsecond) // post-restart
+	m.Get(0, "f", 2, 0, 64)
+	if got := m.WindowHits(0); got != 1 {
+		t.Errorf("window after restart = %d hits, want only the post-restart one", got)
 	}
-	for _, a := range m.Actions() {
-		if a.Kind == "promote" {
-			t.Fatalf("stale pre-crash window triggered %v", a)
-		}
+	if n := m.PromoteHotServer(0); n != 1 {
+		t.Fatalf("PromoteHotServer = %d, want 1", n)
 	}
-	if m.Server(0).Pinned("f", 2) {
-		t.Error("post-restart strip pinned off the stale window")
+	if m.Server(0).Holds("f", 1) || !m.Server(0).Pinned("f", 2) {
+		t.Error("promote pass acted on the stale pre-crash window")
 	}
 }
 
 func TestManagerExternalTuningHandsOverTrigger(t *testing.T) {
+	// The manager has no trigger of its own: slow fetches and re-hits pin
+	// nothing until the controller calls a pass, however much simulated
+	// time goes by.
 	eng := sim.NewEngine()
 	m, err := NewManager(eng, 1, testConfig(), nil, nil)
 	if err != nil {
@@ -346,20 +257,18 @@ func TestManagerExternalTuningHandsOverTrigger(t *testing.T) {
 	}
 	var sunk []sim.Time
 	m.SetLatencySink(func(srv int, lat sim.Time) { sunk = append(sunk, lat) })
-	m.SetExternalTuning(true)
-	m.Start() // must be a no-op while external
 	buf := make([]byte, 64)
 	eng.Spawn("workload", func(p *sim.Proc) {
 		m.RecordFetch(0, "f", 1, 0, buf, 500*sim.Microsecond)
 		m.Get(0, "f", 1, 0, 64)
-		p.Sleep(2 * sim.Millisecond) // would cover two internal ticks
-		if m.Ticks() != 0 {
-			t.Error("internal tick ran while external tuning owns the trigger")
+		p.Sleep(sim.Second)
+		if len(m.Actions()) != 0 || m.Server(0).Pinned("f", 1) {
+			t.Error("manager pinned without a controller")
 		}
 		if m.WindowHits(0) != 1 {
 			t.Errorf("WindowHits = %d, want 1", m.WindowHits(0))
 		}
-		// The external controller drives the same deterministic passes.
+		// The controller drives the deterministic passes.
 		if n := m.PromoteHotServer(0); n != 1 {
 			t.Errorf("PromoteHotServer = %d, want 1", n)
 		}

@@ -1,8 +1,8 @@
-// Package control is the unified p99 latency control plane: one
-// controller that replaces the two independent feedback loops which used
-// to fight each other — the cache Manager pinning replicas from mean
-// fetch-latency windows while the restripe Migrator invalidated the very
-// strips the Manager just pinned.
+// Package control is the unified p99 latency control plane and the
+// system's only tuning loop: the cache Manager pins and unpins replicas
+// only when this controller calls its passes, and the restripe Migrator
+// admits new migrations only through its gate, so the two can no longer
+// fight — the Migrator invalidating the very strips a pass just pinned.
 //
 // The controller subscribes per-server latency samples from two sources:
 // halo-fetch latencies forwarded by the cache manager's latency sink
@@ -211,13 +211,11 @@ func New(eng *sim.Engine, nServers int, cfg Config) (*Controller, error) {
 // Config returns the normalized configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// AttachCache hands the cache manager's promote/demote trigger to this
-// controller: the manager's own mean-window tick stops, its latency
-// samples flow into the controller's sketches, and pins move only when a
-// percentile threshold with hysteresis says so.
+// AttachCache makes this controller the cache manager's tuning trigger:
+// the manager's latency samples flow into the controller's sketches, and
+// pins move only when a percentile threshold with hysteresis says so.
 func (c *Controller) AttachCache(mgr *cache.Manager) {
 	c.mgr = mgr
-	mgr.SetExternalTuning(true)
 	mgr.SetLatencySink(c.ObserveFetch)
 }
 

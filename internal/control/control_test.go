@@ -23,9 +23,6 @@ func testConfig() Config {
 func testCacheConfig() cache.Config {
 	return cache.Config{
 		BudgetBytes:          1024,
-		SampleEvery:          sim.Millisecond,
-		LatencyHigh:          100 * sim.Microsecond,
-		LatencyLow:           10 * sim.Microsecond,
 		MaxPromotionsPerTick: 2,
 	}
 }
@@ -102,9 +99,6 @@ func TestControllerHysteresisStreaks(t *testing.T) {
 	}
 	if !mgr.Server(0).Pinned("f", 1) {
 		t.Error("hot strip not pinned after promote")
-	}
-	if mgr.Ticks() != 0 {
-		t.Errorf("manager's own loop ticked %d times under external tuning", mgr.Ticks())
 	}
 }
 

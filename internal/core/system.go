@@ -94,10 +94,10 @@ type System struct {
 
 // EnableCache deploys the halo-strip cache subsystem: one byte-budgeted
 // cache per storage server consulted by dependent fetches, the pfs write
-// path invalidating cached strips, the tuning manager sampling on the DES
-// clock, and the DAS accept/reject step discounting dependent bytes by
-// the observed hit rate. Server restarts purge via the fault layer's
-// incarnation counters.
+// path invalidating cached strips, and the DAS accept/reject step
+// discounting dependent bytes by the observed hit rate. Server restarts
+// purge via the fault layer's incarnation counters. Pins move only under
+// a controller (EnableControl); a cache enabled alone never pins.
 func (s *System) EnableCache(cfg cache.Config) error {
 	mgr, err := cache.NewManager(s.Clu.Eng, s.FS.Servers(), cfg,
 		func(srv int) uint64 { return s.Clu.Faults.Incarnation(s.Clu.StorageID(srv)) },
@@ -117,7 +117,6 @@ func (s *System) EnableCache(cfg cache.Config) error {
 	if s.Pipeline != nil {
 		s.Pipeline.SetCache(mgr)
 	}
-	mgr.Start()
 	return nil
 }
 
@@ -144,10 +143,9 @@ func (s *System) EnableRestripe(cfg restripe.Config) error {
 
 // EnableControl deploys the unified p99 latency controller: one control
 // plane owning every adaptive trigger in the system. It subscribes the
-// pfs client RPC latencies (migration traffic tagged and excluded), takes
-// over the cache manager's promote/demote trigger when the cache is
-// enabled (percentile thresholds with hysteresis and streaks instead of
-// the old mean window), and gates + watches the restripe migrator when
+// pfs client RPC latencies (migration traffic tagged and excluded), drives
+// the cache manager's promote/demote passes when the cache is enabled
+// (percentile thresholds with hysteresis and streaks), and gates + watches the restripe migrator when
 // restriping is enabled (admission only on a congested tail, cool-down
 // after any strip flip so the two loops can no longer duel). Enable it
 // AFTER the subsystems it coordinates; subsystems enabled later are not

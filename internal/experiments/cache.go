@@ -70,25 +70,51 @@ type CacheRunReport struct {
 // verified byte-identical to the sequential reference. The experiment
 // also demonstrates the decision flip: a DAS request over the unimproved
 // round-robin layout that the cache-blind predictor rejects becomes an
-// accepted offload once NAS warm-up rounds establish the hit rate.
+// accepted offload once NAS warm-up rounds establish the hit rate. The
+// whole experiment runs twice and the reports must be byte-identical.
 func (c Config) CacheExperiment(rounds int, cacheCfg cache.Config) (*Result, *CacheRunReport, error) {
 	if rounds < 2 {
 		rounds = 2
 	}
-	normCfg, err := cacheCfg.Normalize()
+	report, err := replay("cache", func() (*CacheRunReport, error) { return c.cacheRun(rounds, cacheCfg) })
 	if err != nil {
 		return nil, nil, err
+	}
+	r := &Result{
+		ID:     "cache",
+		Title:  fmt.Sprintf("Halo-strip cache over %d rounds (%s, %d GB)", rounds, report.Op, report.SizeGB),
+		XLabel: "round",
+		YLabel: "server-to-server bytes",
+	}
+	for _, v := range report.Variants {
+		for round, s2s := range v.S2SBytes {
+			r.Add(v.Name, float64(round+1), float64(s2s))
+		}
+	}
+	nas, nasCache := report.Variants[0], report.Variants[1]
+	flip := report.Flip
+	r.Notes = append(r.Notes,
+		fmt.Sprintf("NAS moves %s server-to-server over %d rounds; NAS+cache moves %s (%.0f%% byte hit rate, %d promotions)",
+			metrics.FormatBytes(nas.TotalS2SBytes), rounds,
+			metrics.FormatBytes(nasCache.TotalS2SBytes), 100*nasCache.ByteHitRate, nasCache.Promotions),
+		"all rounds of all variants verified byte-identical to the sequential reference",
+		fmt.Sprintf("cache: %s per server, policy %s", metrics.FormatBytes(report.BudgetBytes), report.Policy),
+		fmt.Sprintf("decision flip on round-robin: cold DAS rejected (%s); after %d NAS warm-up rounds the same request offloads at %.0f%% predicted hit rate with %d of %d dependent ranges served from cache",
+			flip.ColdReason, flip.WarmupRounds, 100*flip.WarmHitFrac, flip.WarmRunHits, flip.WarmRunHits+flip.WarmRunFetches))
+	return r, report, nil
+}
+
+// cacheRun is one complete pass of the experiment; CacheExperiment runs
+// it twice and byte-compares the reports.
+func (c Config) cacheRun(rounds int, cacheCfg cache.Config) (*CacheRunReport, error) {
+	normCfg, err := cacheCfg.Normalize()
+	if err != nil {
+		return nil, err
 	}
 	const op = "flow-routing"
 	size := c.SizesGB[0]
 	servers := c.Nodes / 2
 
-	r := &Result{
-		ID:     "cache",
-		Title:  fmt.Sprintf("Halo-strip cache over %d rounds (%s, %d GB)", rounds, op, size),
-		XLabel: "round",
-		YLabel: "server-to-server bytes",
-	}
 	report := &CacheRunReport{
 		Op: op, SizeGB: size, Nodes: c.Nodes, Rounds: rounds,
 		Policy:      normCfg.Policy,
@@ -100,11 +126,11 @@ func (c Config) CacheExperiment(rounds int, cacheCfg cache.Config) (*Result, *Ca
 
 	g, err := c.dataset(op, size)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	k, ok := kernels.Default().Lookup(op)
 	if !ok {
-		return nil, nil, fmt.Errorf("experiments: %s kernel missing", op)
+		return nil, fmt.Errorf("experiments: %s kernel missing", op)
 	}
 	want := kernels.Apply(k, g)
 
@@ -124,12 +150,12 @@ func (c Config) CacheExperiment(rounds int, cacheCfg cache.Config) (*Result, *Ca
 	for _, v := range variants {
 		sys, err := c.buildSystem(c.Nodes, size, op, v.lay)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if v.cached {
 			if err := sys.EnableCache(cacheCfg); err != nil {
 				sys.Close()
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		vr := CacheVariantReport{Name: v.name, Rounds: rounds}
@@ -138,16 +164,16 @@ func (c Config) CacheExperiment(rounds int, cacheCfg cache.Config) (*Result, *Ca
 			rep, err := sys.Execute(core.Request{Op: op, Input: "input", Output: out, Scheme: v.scheme})
 			if err != nil {
 				sys.Close()
-				return nil, nil, fmt.Errorf("cache %s round %d: %w", v.name, round, err)
+				return nil, fmt.Errorf("cache %s round %d: %w", v.name, round, err)
 			}
 			got, err := sys.FetchGrid(out)
 			if err != nil {
 				sys.Close()
-				return nil, nil, fmt.Errorf("cache %s round %d readback: %w", v.name, round, err)
+				return nil, fmt.Errorf("cache %s round %d readback: %w", v.name, round, err)
 			}
 			if !got.Equal(want) {
 				sys.Close()
-				return nil, nil, fmt.Errorf("cache %s round %d diverged from the sequential reference", v.name, round)
+				return nil, fmt.Errorf("cache %s round %d diverged from the sequential reference", v.name, round)
 			}
 			s2s := rep.Traffic[metrics.ServerToServer]
 			vr.ExecTimeSeconds = append(vr.ExecTimeSeconds, rep.ExecTime.Seconds())
@@ -157,7 +183,6 @@ func (c Config) CacheExperiment(rounds int, cacheCfg cache.Config) (*Result, *Ca
 			vr.RemoteBytes += rep.Stats.RemoteBytes
 			vr.CacheHits += rep.Stats.CacheHits
 			vr.CacheHitBytes += rep.Stats.CacheHitBytes
-			r.Add(v.name, float64(round+1), float64(s2s))
 		}
 		cs := sys.Clu.CacheStats
 		vr.ByteHitRate = cs.ByteHitRate()
@@ -170,27 +195,16 @@ func (c Config) CacheExperiment(rounds int, cacheCfg cache.Config) (*Result, *Ca
 	}
 	report.Verified = true
 
-	nas, nasCache := report.Variants[0], report.Variants[1]
-	r.Notes = append(r.Notes,
-		fmt.Sprintf("NAS moves %s server-to-server over %d rounds; NAS+cache moves %s (%.0f%% byte hit rate, %d promotions)",
-			metrics.FormatBytes(nas.TotalS2SBytes), rounds,
-			metrics.FormatBytes(nasCache.TotalS2SBytes), 100*nasCache.ByteHitRate, nasCache.Promotions),
-		"all rounds of all variants verified byte-identical to the sequential reference",
-		fmt.Sprintf("cache: %s per server, policy %s", metrics.FormatBytes(report.BudgetBytes), report.Policy))
-
 	flip, err := c.cacheDecisionFlip(op, size, rr, cacheCfg, want)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	report.Flip = flip
 	if flip.ColdOffload || !flip.WarmOffload {
-		return nil, nil, fmt.Errorf("cache flip demo: expected cold reject + warm accept, got cold=%v warm=%v",
+		return nil, fmt.Errorf("cache flip demo: expected cold reject + warm accept, got cold=%v warm=%v",
 			flip.ColdOffload, flip.WarmOffload)
 	}
-	r.Notes = append(r.Notes,
-		fmt.Sprintf("decision flip on round-robin: cold DAS rejected (%s); after %d NAS warm-up rounds the same request offloads at %.0f%% predicted hit rate with %d of %d dependent ranges served from cache",
-			flip.ColdReason, flip.WarmupRounds, 100*flip.WarmHitFrac, flip.WarmRunHits, flip.WarmRunHits+flip.WarmRunFetches))
-	return r, report, nil
+	report.Flip = flip
+	return report, nil
 }
 
 // cacheDecisionFlip runs the accept-after-warming demonstration on one

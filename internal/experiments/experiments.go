@@ -9,6 +9,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -127,6 +129,33 @@ func (c Config) RunOne(scheme core.Scheme, op string, sizeGB, nodes int) (core.R
 		return core.Report{}, err
 	}
 	return sys.Execute(core.Request{Op: op, Input: "input", Output: "output", Scheme: scheme})
+}
+
+// replay runs one report-producing pass of an experiment twice and
+// byte-compares the marshalled reports: the determinism contract says a
+// second full run reproduces the first exactly, so any divergence is an
+// error. It returns the first report.
+func replay[R any](name string, run func() (*R, error)) (*R, error) {
+	first, err := run()
+	if err != nil {
+		return nil, err
+	}
+	second, err := run()
+	if err != nil {
+		return nil, fmt.Errorf("%s replay: %w", name, err)
+	}
+	b1, err := json.Marshal(first)
+	if err != nil {
+		return nil, err
+	}
+	b2, err := json.Marshal(second)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(b1, b2) {
+		return nil, fmt.Errorf("%s: replay diverged — the run is not deterministic", name)
+	}
+	return first, nil
 }
 
 // Row is one measured cell of a result series.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -212,5 +213,33 @@ func TestDatasetGeometryValidation(t *testing.T) {
 	c.Width = 5000 // does not divide any power-of-two size
 	if _, err := c.dataset("flow-routing", 2); err == nil {
 		t.Error("untileable width accepted")
+	}
+}
+
+// TestReplayRejectsDivergence covers the shared replay check every
+// report-producing experiment goes through: identical passes return the
+// first report, a pass whose marshalled report differs is an error, and a
+// failing second pass names the replay.
+func TestReplayRejectsDivergence(t *testing.T) {
+	type report struct{ N int }
+	passes := func(ns ...int) func() (*report, error) {
+		i := 0
+		return func() (*report, error) {
+			n := ns[i]
+			i++
+			if n < 0 {
+				return nil, fmt.Errorf("pass %d failed", i)
+			}
+			return &report{N: n}, nil
+		}
+	}
+	if r, err := replay("same", passes(7, 7)); err != nil || r.N != 7 {
+		t.Errorf("identical passes: report %+v, err %v", r, err)
+	}
+	if _, err := replay("drift", passes(7, 8)); err == nil || !strings.Contains(err.Error(), "drift: replay diverged") {
+		t.Errorf("divergent passes: err %v, want a replay divergence", err)
+	}
+	if _, err := replay("flaky", passes(7, -1)); err == nil || !strings.Contains(err.Error(), "flaky replay: pass 2 failed") {
+		t.Errorf("failing replay: err %v, want it wrapped as the replay", err)
 	}
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -99,26 +97,11 @@ func (c Config) PipelineExperiment(smoke bool) (*Result, *PipelineRunReport, err
 	if smoke {
 		sizeGB = pipelineSmokeGB
 	}
-	first, err := c.pipelineRun(sizeGB)
+	first, err := replay("pipeline", func() (*PipelineRunReport, error) { return c.pipelineRun(sizeGB) })
 	if err != nil {
 		return nil, nil, err
 	}
-	second, err := c.pipelineRun(sizeGB)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pipeline replay: %w", err)
-	}
-	b1, err := json.Marshal(first)
-	if err != nil {
-		return nil, nil, err
-	}
-	b2, err := json.Marshal(second)
-	if err != nil {
-		return nil, nil, err
-	}
-	first.DeterministicReplay = bytes.Equal(b1, b2)
-	if !first.DeterministicReplay {
-		return nil, nil, fmt.Errorf("pipeline: replay diverged — the pushdown is not deterministic")
-	}
+	first.DeterministicReplay = true
 
 	r := &Result{
 		ID: "pipeline",

@@ -79,33 +79,61 @@ type RestripeRunReport struct {
 // dependence local — for DAS, the previously rejected offload flips to an
 // accepted one. Every round of every variant is verified byte-identical
 // to the sequential reference, and a final section demonstrates the
-// crash-safe resume of a migration interrupted mid-copy.
+// crash-safe resume of a migration interrupted mid-copy. The whole
+// experiment runs twice and the reports must be byte-identical.
 func (c Config) RestripeExperiment(rounds int, rcfg restripe.Config) (*Result, *RestripeRunReport, error) {
 	if rounds < 2 {
 		rounds = 2
 	}
-	if _, err := rcfg.Normalize(); err != nil {
+	report, err := replay("restripe", func() (*RestripeRunReport, error) { return c.restripeRun(rounds, rcfg) })
+	if err != nil {
 		return nil, nil, err
+	}
+	r := &Result{
+		ID:     "restripe",
+		Title:  fmt.Sprintf("Online restriping over %d rounds (%s, %d GB)", rounds, report.Op, report.SizeGB),
+		XLabel: "round",
+		YLabel: "dependent-halo bytes fetched",
+	}
+	for _, v := range report.Variants {
+		for round, b := range v.RemoteBytes {
+			r.Add(v.Name, float64(round+1), float64(b))
+		}
+	}
+	nas, nasRe := report.Variants[0], report.Variants[1]
+	dasRe := report.Variants[3]
+	r.Notes = append(r.Notes,
+		fmt.Sprintf("NAS fetches %s of dependent-halo bytes per round forever; with online restriping the first round's %s drop to zero after the background migration (%d strips, %s copied, converged in %.3fs simulated)",
+			metrics.FormatBytes(nas.RemoteBytes[0]), metrics.FormatBytes(nasRe.RemoteBytes[0]),
+			nasRe.Migration.StripsMoved, metrics.FormatBytes(nasRe.Migration.BytesCopied),
+			nasRe.Migration.ConvergeSeconds),
+		fmt.Sprintf("DAS over the static round-robin layout rejects the offload every round; after the online migration to %s the same request offloads with fully local dependence",
+			dasRe.Migration.FinalLayout),
+		"all rounds of all variants, and the migrated input itself, verified byte-identical to the sequential reference",
+		fmt.Sprintf("crash demo: server %d down mid-migration; %d parked moves resumed from the cursor after restart, migration completed, outputs byte-identical",
+			report.Crash.CrashServer, report.Crash.Resumes))
+	return r, report, nil
+}
+
+// restripeRun is one complete pass of the experiment; RestripeExperiment
+// runs it twice and byte-compares the reports.
+func (c Config) restripeRun(rounds int, rcfg restripe.Config) (*RestripeRunReport, error) {
+	if _, err := rcfg.Normalize(); err != nil {
+		return nil, err
 	}
 	const op = "flow-routing"
 	size := c.SizesGB[0]
 	servers := c.Nodes / 2
 
-	r := &Result{
-		ID:     "restripe",
-		Title:  fmt.Sprintf("Online restriping over %d rounds (%s, %d GB)", rounds, op, size),
-		XLabel: "round",
-		YLabel: "dependent-halo bytes fetched",
-	}
 	report := &RestripeRunReport{Op: op, SizeGB: size, Nodes: c.Nodes, Rounds: rounds}
 
 	g, err := c.dataset(op, size)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	k, ok := kernels.Default().Lookup(op)
 	if !ok {
-		return nil, nil, fmt.Errorf("experiments: %s kernel missing", op)
+		return nil, fmt.Errorf("experiments: %s kernel missing", op)
 	}
 	want := kernels.Apply(k, g)
 
@@ -124,12 +152,12 @@ func (c Config) RestripeExperiment(rounds int, rcfg restripe.Config) (*Result, *
 	for _, v := range variants {
 		sys, err := c.buildSystem(c.Nodes, size, op, rr)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if v.restriped {
 			if err := sys.EnableRestripe(rcfg); err != nil {
 				sys.Close()
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		vr := RestripeVariantReport{Name: v.name, Rounds: rounds}
@@ -138,33 +166,32 @@ func (c Config) RestripeExperiment(rounds int, rcfg restripe.Config) (*Result, *
 			rep, err := sys.Execute(core.Request{Op: op, Input: "input", Output: out, Scheme: v.scheme})
 			if err != nil {
 				sys.Close()
-				return nil, nil, fmt.Errorf("restripe %s round %d: %w", v.name, round, err)
+				return nil, fmt.Errorf("restripe %s round %d: %w", v.name, round, err)
 			}
 			got, err := sys.FetchGrid(out)
 			if err != nil {
 				sys.Close()
-				return nil, nil, fmt.Errorf("restripe %s round %d readback: %w", v.name, round, err)
+				return nil, fmt.Errorf("restripe %s round %d readback: %w", v.name, round, err)
 			}
 			if !got.Equal(want) {
 				sys.Close()
-				return nil, nil, fmt.Errorf("restripe %s round %d diverged from the sequential reference", v.name, round)
+				return nil, fmt.Errorf("restripe %s round %d diverged from the sequential reference", v.name, round)
 			}
 			vr.ExecTimeSeconds = append(vr.ExecTimeSeconds, rep.ExecTime.Seconds())
 			vr.RemoteBytes = append(vr.RemoteBytes, rep.Stats.RemoteBytes)
 			vr.Offloaded = append(vr.Offloaded, rep.Offloaded)
 			vr.TotalRemoteBytes += rep.Stats.RemoteBytes
-			r.Add(v.name, float64(round+1), float64(rep.Stats.RemoteBytes))
 			if v.restriped && round == 0 {
 				// Let the background migration the first round triggered
 				// converge before the post-migration rounds measure it.
 				converged, dt, err := sys.DrainRestripe(restripeDrainTimeout)
 				if err != nil {
 					sys.Close()
-					return nil, nil, fmt.Errorf("restripe %s drain: %w", v.name, err)
+					return nil, fmt.Errorf("restripe %s drain: %w", v.name, err)
 				}
 				if !converged {
 					sys.Close()
-					return nil, nil, fmt.Errorf("restripe %s: migration did not converge within %v", v.name, restripeDrainTimeout)
+					return nil, fmt.Errorf("restripe %s: migration did not converge within %v", v.name, restripeDrainTimeout)
 				}
 				m, _ := sys.FS.Meta("input")
 				rs := sys.Clu.RestripeStats
@@ -183,45 +210,33 @@ func (c Config) RestripeExperiment(rounds int, rcfg restripe.Config) (*Result, *
 		in, err := sys.FetchGrid("input")
 		if err != nil {
 			sys.Close()
-			return nil, nil, fmt.Errorf("restripe %s input readback: %w", v.name, err)
+			return nil, fmt.Errorf("restripe %s input readback: %w", v.name, err)
 		}
 		if !in.Equal(g) {
 			sys.Close()
-			return nil, nil, fmt.Errorf("restripe %s: migration corrupted the input", v.name)
+			return nil, fmt.Errorf("restripe %s: migration corrupted the input", v.name)
 		}
 		report.Variants = append(report.Variants, vr)
 		sys.Close()
 	}
 	report.Verified = true
 
-	nas, nasRe := report.Variants[0], report.Variants[1]
-	dasRe := report.Variants[3]
+	nasRe, dasRe := report.Variants[1], report.Variants[3]
 	last := rounds - 1
 	if nasRe.RemoteBytes[last] != 0 {
-		return nil, nil, fmt.Errorf("restripe: post-migration NAS round still fetched %d dependent bytes", nasRe.RemoteBytes[last])
+		return nil, fmt.Errorf("restripe: post-migration NAS round still fetched %d dependent bytes", nasRe.RemoteBytes[last])
 	}
 	if !dasRe.Offloaded[last] || dasRe.Offloaded[0] {
-		return nil, nil, fmt.Errorf("restripe: DAS offload decision did not flip (round 0 %v, round %d %v)",
+		return nil, fmt.Errorf("restripe: DAS offload decision did not flip (round 0 %v, round %d %v)",
 			dasRe.Offloaded[0], last, dasRe.Offloaded[last])
 	}
-	r.Notes = append(r.Notes,
-		fmt.Sprintf("NAS fetches %s of dependent-halo bytes per round forever; with online restriping the first round's %s drop to zero after the background migration (%d strips, %s copied, converged in %.3fs simulated)",
-			metrics.FormatBytes(nas.RemoteBytes[0]), metrics.FormatBytes(nasRe.RemoteBytes[0]),
-			nasRe.Migration.StripsMoved, metrics.FormatBytes(nasRe.Migration.BytesCopied),
-			nasRe.Migration.ConvergeSeconds),
-		fmt.Sprintf("DAS over the static round-robin layout rejects the offload every round; after the online migration to %s the same request offloads with fully local dependence",
-			dasRe.Migration.FinalLayout),
-		"all rounds of all variants, and the migrated input itself, verified byte-identical to the sequential reference")
 
 	crash, err := c.restripeCrash(op, size, rr, rcfg, want, g)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	report.Crash = crash
-	r.Notes = append(r.Notes,
-		fmt.Sprintf("crash demo: server %d down mid-migration; %d parked moves resumed from the cursor after restart, migration completed, outputs byte-identical",
-			crash.CrashServer, crash.Resumes))
-	return r, report, nil
+	return report, nil
 }
 
 // restripeCrash interrupts a live migration with a storage-server crash

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"github.com/hpcio/das/internal/cache"
@@ -184,26 +182,11 @@ func (c Config) TenantsExperiment(tcfg tenants.Config) (*Result, *TenantsRunRepo
 	if err != nil {
 		return nil, nil, err
 	}
-	first, err := c.tenantsRun(tcfg)
+	first, err := replay("tenants", func() (*TenantsRunReport, error) { return c.tenantsRun(tcfg) })
 	if err != nil {
 		return nil, nil, err
 	}
-	second, err := c.tenantsRun(tcfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("tenants replay: %w", err)
-	}
-	b1, err := json.Marshal(first)
-	if err != nil {
-		return nil, nil, err
-	}
-	b2, err := json.Marshal(second)
-	if err != nil {
-		return nil, nil, err
-	}
-	first.DeterministicReplay = bytes.Equal(b1, b2)
-	if !first.DeterministicReplay {
-		return nil, nil, fmt.Errorf("tenants: replay diverged — the traffic engine is not deterministic")
-	}
+	first.DeterministicReplay = true
 
 	byName := make(map[string]*TenantsVariantReport)
 	for i := range first.Variants {

@@ -136,6 +136,9 @@ type ScaleStats struct {
 	// KernelSum is a Gaussian-filter reduction over a grid derived from the
 	// read data — a stand-in for "the kernel results" in identity checks.
 	KernelSum float64
+	// Recovery holds the fault layer's recovery counters (zero: the scale
+	// workload runs fault-free).
+	Recovery RecoveryCounts
 }
 
 // SameSimulation reports whether two runs produced identical simulation
@@ -336,6 +339,7 @@ func (r *ScaleRunner) Run() (ScaleStats, error) {
 		Traffic:   clu.Traffic.Snapshot(),
 		Checksum:  sum,
 		KernelSum: ksum,
+		Recovery:  recoveryCounts(clu.Recovery),
 	}
 	clu.Eng.Shutdown()
 	return stats, nil

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/hpcio/das/internal/metrics"
@@ -86,69 +87,61 @@ func TestCallCancelableAbortReclaims(t *testing.T) {
 	eng.Shutdown()
 }
 
-// TestFastAndClassicNetworkIdentical runs the same mixed Send/Call/
-// SendAsync workload under the fast default and the classic construction
-// and checks the simulations are byte-identical: event count, clock, and
-// traffic counters.
-func TestFastAndClassicNetworkIdentical(t *testing.T) {
-	run := func(opts sim.EngineOpts) (uint64, sim.Time, map[metrics.TrafficClass]int64) {
-		eng := sim.NewEngineWith(opts)
-		traffic := metrics.NewTraffic()
-		net := New(eng, Config{BytesPerSec: 1e6, Latency: 50 * sim.Microsecond}, traffic)
-		for i := 0; i < 4; i++ {
-			net.AddNode(i)
+// TestMixedNetworkWorkloadMatchesFrozen runs a mixed Send/Call/SendAsync
+// workload — three clients contending for one server's NICs — and checks
+// event count, clock and traffic against the values recorded when the
+// process-per-step construction cross-checked the task chains live.
+func TestMixedNetworkWorkloadMatchesFrozen(t *testing.T) {
+	eng := sim.NewEngine()
+	traffic := metrics.NewTraffic()
+	net := New(eng, Config{BytesPerSec: 1e6, Latency: 50 * sim.Microsecond}, traffic)
+	for i := 0; i < 4; i++ {
+		net.AddNode(i)
+	}
+	eng.SpawnDaemon("server", func(p *sim.Proc) {
+		port := net.Node(3).Port("rpc")
+		for {
+			req := port.Get(p)
+			net.Respond(p, req, "ok", 2048, metrics.ServerToClient)
 		}
-		eng.SpawnDaemon("server", func(p *sim.Proc) {
-			port := net.Node(3).Port("rpc")
-			for {
-				req := port.Get(p)
-				net.Respond(p, req, "ok", 2048, metrics.ServerToClient)
+	})
+	for c := 0; c < 3; c++ {
+		c := c
+		eng.Spawn("client", func(p *sim.Proc) {
+			for i := 0; i < 5; i++ {
+				net.Call(p, Message{From: c, To: 3, Port: "rpc", Size: 4096,
+					Payload: "req", Class: metrics.ClientToServer})
+				done := net.SendAsync(p, Message{From: c, To: (c + 1) % 3, Port: "peer",
+					Size: 1024, Class: metrics.ServerToServer})
+				net.Send(p, Message{From: c, To: 3, Port: "oneway", Size: 512,
+					Class: metrics.ClientToServer})
+				done.Wait(p)
 			}
 		})
-		for c := 0; c < 3; c++ {
-			c := c
-			eng.Spawn("client", func(p *sim.Proc) {
-				for i := 0; i < 5; i++ {
-					net.Call(p, Message{From: c, To: 3, Port: "rpc", Size: 4096,
-						Payload: "req", Class: metrics.ClientToServer})
-					done := net.SendAsync(p, Message{From: c, To: (c + 1) % 3, Port: "peer",
-						Size: 1024, Class: metrics.ServerToServer})
-					net.Send(p, Message{From: c, To: 3, Port: "oneway", Size: 512,
-						Class: metrics.ClientToServer})
-					done.Wait(p)
-				}
-			})
+	}
+	// Sinks for the one-way and peer traffic.
+	eng.SpawnDaemon("sink", func(p *sim.Proc) {
+		port := net.Node(3).Port("oneway")
+		for {
+			port.Get(p)
 		}
-		// Sinks for the one-way and peer traffic.
-		eng.SpawnDaemon("sink", func(p *sim.Proc) {
-			port := net.Node(3).Port("oneway")
+	})
+	for c := 0; c < 3; c++ {
+		c := c
+		eng.SpawnDaemon("peersink", func(p *sim.Proc) {
+			port := net.Node(c).Port("peer")
 			for {
 				port.Get(p)
 			}
 		})
-		for c := 0; c < 3; c++ {
-			c := c
-			eng.SpawnDaemon("peersink", func(p *sim.Proc) {
-				port := net.Node(c).Port("peer")
-				for {
-					port.Get(p)
-				}
-			})
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		ev, now, snap := eng.Events(), eng.Now(), traffic.Snapshot()
-		eng.Shutdown()
-		return ev, now, snap
 	}
-	evFast, nowFast, trFast := run(sim.EngineOpts{})
-	evClassic, nowClassic, trClassic := run(sim.EngineOpts{ClassicDispatch: true, ClassicQueue: true})
-	if evFast != evClassic || nowFast != nowClassic {
-		t.Fatalf("fast (events %d, now %v) != classic (events %d, now %v)",
-			evFast, nowFast, evClassic, nowClassic)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if !metrics.SnapshotsEqual(trFast, trClassic) {
-		t.Fatalf("traffic diverged: fast %v, classic %v", trFast, trClassic)
+	got := fmt.Sprintf("ev=%d t=%d traffic=%v", eng.Events(), int64(eng.Now()), traffic.Snapshot())
+	eng.Shutdown()
+	const want = "ev=303 t=93784000 traffic=map[client→server:69120 server→client:30720 server↔server:15360 disk read:0 disk write:0]"
+	if got != want {
+		t.Fatalf("mixed workload diverged from its frozen schedule:\n got  %s\n want %s", got, want)
 	}
 }

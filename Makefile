@@ -27,10 +27,13 @@ lint-fix-check:
 	fi; \
 	echo "lint-fix-check: clean"
 
-# Extended gate: vet + daslint (both modes) + race on top of tier-1.
+# Extended gate: vet + daslint (both modes) + race on top of tier-1, plus
+# the repository benchmark's own module (perfbench/), which tier-1 never
+# builds.
 extended: tier1 lint lint-fix-check
 	go vet ./...
 	go test -race ./...
+	cd perfbench && go test ./...
 
 # Bench smoke: short cache, restripe, p99-controller, scale, tenants and
 # pipeline experiments end to end (reduced configuration, JSON reports in

@@ -1,14 +1,12 @@
-// Scale sweep: the engine-scaling benchmark behind `dasbench -scale`. It
-// runs a fixed, fully deterministic PFS request mix on clusters from
+// Scale sweep: the engine-scaling benchmark behind `dasbench -exp scale`.
+// It runs a fixed, fully deterministic PFS request mix on clusters from
 // paper-size (24 nodes) to far beyond (5000), so the DES core's per-event
 // cost — not the modeled system — dominates, and reports simulation
-// outputs precise enough to assert byte-identity between engine
-// constructions (fast vs classic dispatch, calendar vs heap queue).
+// outputs precise enough to check against frozen digests (digest.go).
 package experiments
 
 import (
 	"fmt"
-	"strconv"
 
 	"github.com/hpcio/das/internal/cluster"
 	"github.com/hpcio/das/internal/grid"
@@ -28,8 +26,6 @@ type ScaleOptions struct {
 	OpsPerClient int
 	// Seed drives the deterministic request mix and strip contents.
 	Seed uint64
-	// Engine selects the engine construction under test.
-	Engine sim.EngineOpts
 }
 
 // Scale-workload geometry: one file striped round-robin over all servers,
@@ -59,9 +55,8 @@ type scaleRun struct {
 }
 
 // scaleClient is one compute node's workload as a task chain: its start
-// event stands in for the process client's spawn, each response
-// continuation for the process's per-RPC wake-up. Both constructions draw
-// the same operation stream and produce the same checksum.
+// event issues the first operation, and each response continuation runs
+// in the event a process client's per-RPC wake-up would occupy.
 type scaleClient struct {
 	run  *scaleRun
 	id   int
@@ -118,8 +113,7 @@ func (c *scaleClient) writeDone(err error) {
 
 // ScaleStats is everything a scale run outputs. Every field except Nodes
 // and Ops is a simulation output: two runs of the same options must match
-// exactly, whatever engine construction they use, and SameSimulation
-// asserts exactly that.
+// exactly, and SameSimulation asserts exactly that.
 type ScaleStats struct {
 	Nodes  int
 	Ops    int64
@@ -200,8 +194,7 @@ func RunScale(opts ScaleOptions) (ScaleStats, error) {
 // ScaleRunner is a scale benchmark with its cluster built, data preloaded,
 // and clients scheduled, ready for its single Run. The two-phase API lets
 // the dasbench harness time the engine's dispatch work alone — events only
-// dispatch inside Run — rather than folding identical construction and
-// preload costs into both sides of an engine comparison.
+// dispatch inside Run — without construction and preload costs.
 type ScaleRunner struct {
 	opts ScaleOptions
 	clu  *cluster.Cluster
@@ -226,7 +219,6 @@ func PrepareScale(opts ScaleOptions) (*ScaleRunner, error) {
 	cfg := cluster.Default()
 	cfg.ComputeNodes = opts.Nodes / 2
 	cfg.StorageNodes = opts.Nodes / 2
-	cfg.Engine = opts.Engine
 	clu, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
@@ -250,53 +242,19 @@ func PrepareScale(opts ScaleOptions) (*ScaleRunner, error) {
 
 	clients := cfg.ComputeNodes
 	run := &scaleRun{fs: fs, lay: lay, strips: strips, ops: ops, sums: make([]uint64, clients)}
-	if fs.AsyncOK() {
-		// Fast dispatch: each client is a task chain — its start event and
-		// every per-op resume dispatch inline, touching no goroutine.
-		for c := 0; c < clients; c++ {
-			cl := &scaleClient{
-				run:  run,
-				id:   c,
-				node: clu.ComputeID(c),
-				rng:  clientRng(opts.Seed, c),
-				sum:  fnvOffset,
-				wbuf: make([]byte, scaleStripSize),
-			}
-			cl.onRead, cl.onWrite = cl.readDone, cl.writeDone
-			clu.Eng.ScheduleTask(0, cl)
+	// Each client is a task chain — its start event and every per-op
+	// resume dispatch inline, touching no goroutine.
+	for c := 0; c < clients; c++ {
+		cl := &scaleClient{
+			run:  run,
+			id:   c,
+			node: clu.ComputeID(c),
+			rng:  clientRng(opts.Seed, c),
+			sum:  fnvOffset,
+			wbuf: make([]byte, scaleStripSize),
 		}
-	} else {
-		// Classic dispatch: the same workload as a process per client, one
-		// park per RPC. Byte-identical outputs either way (scale_test.go).
-		for c := 0; c < clients; c++ {
-			c := c
-			nodeID := clu.ComputeID(c)
-			clu.Eng.Spawn("scale-client-"+strconv.Itoa(c), func(p *sim.Proc) {
-				rng := clientRng(opts.Seed, c)
-				sum := uint64(fnvOffset)
-				wbuf := make([]byte, scaleStripSize)
-				for i := 0; i < ops; i++ {
-					strip := int64(rng.next() % uint64(run.strips))
-					target := lay.Primary(strip)
-					if i%8 == 7 {
-						fillStrip(wbuf, rng.next(), strip)
-						if err := fs.WriteStripTo(p, nodeID, target, scaleFile, strip, wbuf, true); err != nil {
-							panic(err)
-						}
-						run.writes++
-						continue
-					}
-					data, err := fs.ReadStripFrom(p, nodeID, target, scaleFile, strip, 0, 0)
-					if err != nil {
-						panic(err)
-					}
-					sum = fnvMix(sum, stripSum(data))
-					pfs.ReleaseBuffer(data)
-					run.reads++
-				}
-				run.sums[c] = sum
-			})
-		}
+		cl.onRead, cl.onWrite = cl.readDone, cl.writeDone
+		clu.Eng.ScheduleTask(0, cl)
 	}
 	return &ScaleRunner{opts: opts, clu: clu, run: run}, nil
 }

@@ -8,8 +8,8 @@ import (
 
 // The replies analyzer checks the request/reply obligation of the simnet
 // protocol: a handler that receives a CallTask/Expect request must answer
-// it exactly once on every path, or the caller parks forever (classic
-// path) or leaks its responder (fast path). The check is interprocedural
+// it exactly once on every path, or the caller parks forever (process
+// caller) or leaks its responder (task caller). The check is interprocedural
 // in three ways a per-function scan cannot be:
 //
 //   - delegation: a handler may answer by handing the message to another

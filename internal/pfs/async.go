@@ -6,22 +6,22 @@ import (
 	"github.com/hpcio/das/internal/simnet"
 )
 
-// Task-based client calls: the caller-side counterpart of the fast
-// request handler. A process client pays a goroutine park per RPC even
-// under fast dispatch — the one event a fused Call leaves as a process
-// wake-up. ReadStripFromTask and WriteStripToTask move that last event to
+// Task-based client calls: the caller-side counterpart of the request
+// chain. A process client pays a goroutine park per RPC — the one event a
+// fused Call leaves as a process wake-up. ReadStripFromTask and WriteStripToTask move that last event to
 // a task too: the continuation runs inline when the response lands, in
 // exactly the (at, seq) the process caller's wake-up would occupy, so a
 // task-based client simulates byte-identically to a process client while
 // touching no goroutine at all.
 //
-// These are fast-path-only, fault-free primitives: no retry, no failover,
-// no timeout. Callers check AsyncOK first and fall back to the process
-// APIs when it reports false (classic dispatch, or faults have activated).
+// These are fault-free primitives: no retry, no failover, no timeout.
+// Callers check AsyncOK first and fall back to the process APIs when it
+// reports false (faults have activated).
 
-// AsyncOK reports whether task-based client calls are available.
+// AsyncOK reports whether task-based client calls are available: the
+// fault layer has never been active.
 func (fs *FileSystem) AsyncOK() bool {
-	return fs.clu.Net.FastOK() && !fs.clu.Faults.Active()
+	return !fs.clu.Faults.Active()
 }
 
 // readCall is one in-flight ReadStripFromTask; pooled on the filesystem.

@@ -2,23 +2,25 @@ package pfs
 
 import (
 	"errors"
+	"fmt"
 
 	"github.com/hpcio/das/internal/sim"
 	"github.com/hpcio/das/internal/simnet"
 )
 
-// This file is the fast-path construction of a PFS request handler: a
-// pooled task chain standing in for the per-request child process the
-// classic server spawns. The chain pins each step to the exact (at, seq)
-// the classic construction would schedule — spawn, disk grant, disk
-// completion, response transfer — so both servers simulate identically
+// This file is the PFS request handler: a pooled task chain that serves a
+// request in one event per step — handler start, disk grant, disk
+// completion, response transfer — instead of a per-request child process
 // (DESIGN.md §11 traces one read RPC hop by hop).
 //
-// Only request types whose classic handler is straight-line — validate,
-// one disk pass, respond — run as chains: reads always, writes when they
-// forward no foreign replicas. Replica-forwarding writes, migrations, and
-// unknown requests keep the classic child process, as does everything once
-// faults activate; the dispatcher decides per message.
+// Every request whose handler is straight-line — validate, at most one
+// disk pass, respond — runs as a chain, under faults as well as without:
+// reads, single and batched; writes that forward no foreign replicas; and
+// unknown requests, which fail validation. Requests arrive either as
+// pooled pointers (fault-free clients) or as boxed values (clients under
+// faults, which may resend one request). Replica-forwarding writes and
+// migrations issue RPCs of their own, so they keep a handler process
+// (Server.handle); the dispatcher decides per message.
 
 // reqTask chain states, named for what RunTask does when dispatched.
 const (
@@ -58,33 +60,27 @@ func (x *reqTask) RunTask() {
 	}
 }
 
-// begin validates the request and prepares the response, exactly as the
-// classic handler does before its first disk sleep, then contends for the
-// drive. Requests that touch no disk bytes (validation errors, empty
-// ranges) respond directly from this event — matching the classic handler,
-// whose zero-size disk calls schedule nothing.
+// begin validates the request and prepares the response before the
+// first disk wait, then contends for the drive. Requests that touch no
+// disk bytes (validation errors, empty ranges) respond directly from this
+// event.
 func (x *reqTask) begin() {
 	s := x.s
+	var err error
 	switch req := x.msg.Payload.(type) {
+	case readReq:
+		err = x.prepRead(req)
 	case *readReq:
-		file, strip, lo, hi := req.File, req.Strip, req.Lo, req.Hi
+		r := *req
 		s.fs.readReqPut(req)
-		data, err := s.peek(file, strip, lo, hi)
-		if err != nil {
-			x.fail(err)
-			return
-		}
-		x.isRead, x.diskSize = true, int64(len(data))
-		r := s.fs.readRespGet()
-		r.Data = data
-		x.payload, x.respSize = r, headerBytes+int64(len(data))
+		err = x.prepRead(r)
 	case readManyReq:
 		data := make([][]byte, len(req.Spans))
 		var total int64
 		for i, sp := range req.Spans {
-			d, err := s.peek(req.File, sp.Strip, sp.Lo, sp.Hi)
-			if err != nil {
-				x.fail(err)
+			d, perr := s.peek(req.File, sp.Strip, sp.Lo, sp.Hi)
+			if perr != nil {
+				x.fail(perr)
 				return
 			}
 			data[i] = d
@@ -92,30 +88,28 @@ func (x *reqTask) begin() {
 		}
 		x.isRead, x.diskSize = true, total
 		x.payload, x.respSize = readManyResp{Data: data}, headerBytes+total
+	case writeReq:
+		err = x.prepWrite(req)
 	case *writeReq:
-		file, strip, data := req.File, req.Strip, req.Data
+		r := *req
 		s.fs.writeReqPut(req)
-		if err := s.validateWrite(file, strip, data); err != nil {
-			x.fail(err)
-			return
-		}
-		s.storePut(file, strip, data)
-		x.isRead, x.diskSize = false, int64(len(data))
-		x.payload, x.respSize = ackResp{}, headerBytes
+		err = x.prepWrite(r)
 	case writeManyReq:
-		total, err := s.validateWriteMany(req.File, req.Strips, req.Data)
-		if err != nil {
-			x.fail(err)
-			return
+		var total int64
+		if total, err = s.validateWriteMany(req.File, req.Strips, req.Data); err == nil {
+			for i, strip := range req.Strips {
+				s.storePut(req.File, strip, req.Data[i])
+			}
+			x.isRead, x.diskSize = false, total
+			x.payload, x.respSize = ackResp{}, headerBytes
 		}
-		for i, strip := range req.Strips {
-			s.storePut(req.File, strip, req.Data[i])
-		}
-		x.isRead, x.diskSize = false, total
-		x.payload, x.respSize = ackResp{}, headerBytes
 	default:
-		// The dispatcher only routes the four types above here.
-		panic("pfs: ineligible request on the fast handler")
+		x.payload = errResp{Err: fmt.Sprintf("unknown request %T", x.msg.Payload), Code: codeBadRequest}
+		x.respSize = headerBytes
+	}
+	if err != nil {
+		x.fail(err)
+		return
 	}
 	if x.diskSize <= 0 {
 		x.respond()
@@ -133,6 +127,31 @@ func (x *reqTask) begin() {
 	}
 }
 
+// prepRead copies the requested range out of the store and stages the
+// read response.
+func (x *reqTask) prepRead(req readReq) error {
+	data, err := x.s.peek(req.File, req.Strip, req.Lo, req.Hi)
+	if err != nil {
+		return err
+	}
+	x.isRead, x.diskSize = true, int64(len(data))
+	r := x.s.fs.readRespGet()
+	r.Data = data
+	x.payload, x.respSize = r, headerBytes+int64(len(data))
+	return nil
+}
+
+// prepWrite validates and stores a single-strip write and stages the ack.
+func (x *reqTask) prepWrite(req writeReq) error {
+	if err := x.s.validateWrite(req.File, req.Strip, req.Data); err != nil {
+		return err
+	}
+	x.s.storePut(req.File, req.Strip, req.Data)
+	x.isRead, x.diskSize = false, int64(len(req.Data))
+	x.payload, x.respSize = ackResp{}, headerBytes
+	return nil
+}
+
 func (x *reqTask) fail(err error) {
 	code := codeInternal
 	if errors.Is(err, errNotHeld) {
@@ -142,21 +161,19 @@ func (x *reqTask) fail(err error) {
 	x.respond()
 }
 
-// respond launches the response transfer and pools the chain. RespondTask
-// ends in the same event the classic handler's post-Respond return would.
+// respond launches the response transfer and pools the chain.
 func (x *reqTask) respond() {
 	s, msg, payload, size := x.s, x.msg, x.payload, x.respSize
 	s.taskPut(x)
 	s.fs.clu.Net.RespondTask(msg, payload, size, s.fs.clu.ClassBetween(s.nodeID, msg.From))
 }
 
-// dispatch is the port's inline message handler: the fast-path stand-in
-// for the classic service loop's body. Per message it either schedules a
-// reqTask chain or spawns the classic handler child — both at the (at, seq)
-// the classic loop's Spawn would allocate.
+// dispatch is the port's inline message handler. Per message it either
+// schedules a reqTask chain or spawns the handler process, both at a
+// zero-delay event: the request's handler start.
 func (s *Server) dispatch(msg simnet.Message) {
 	s.reqs++
-	if s.fs.clu.Net.FastOK() && s.fastEligible(msg.Payload) {
+	if s.chainable(msg.Payload) {
 		x := s.taskGet()
 		x.msg = msg
 		x.state = rsStart
@@ -168,13 +185,15 @@ func (s *Server) dispatch(msg simnet.Message) {
 	})
 }
 
-// fastEligible reports whether a request's classic handler is
-// straight-line (validate → one disk pass → respond) and can therefore run
-// as a task chain.
-func (s *Server) fastEligible(payload any) bool {
+// chainable reports whether a request's handler is straight-line and can
+// therefore run as a reqTask chain: everything but migrations and writes
+// that forward replicas to other servers.
+func (s *Server) chainable(payload any) bool {
 	switch req := payload.(type) {
-	case *readReq, readManyReq:
-		return true
+	case migrateReq:
+		return false
+	case writeReq:
+		return !req.Forward || s.replicasAllLocal(req.File, req.Strip)
 	case *writeReq:
 		return !req.Forward || s.replicasAllLocal(req.File, req.Strip)
 	case writeManyReq:
@@ -188,7 +207,7 @@ func (s *Server) fastEligible(payload any) bool {
 		}
 		return true
 	default:
-		return false
+		return true
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package pfs implements the striped parallel file system substrate the
 // DAS architecture runs on: a PVFS2-like system with a metadata service,
-// one data server process per storage node, 64 KiB default strips, and
+// one data server per storage node, 64 KiB default strips, and
 // pluggable data distributions (layout.Layout). Unlike stock PVFS2, the
 // placement policy is per-file and replica-aware, and a file can be
 // migrated between layouts in place — the two extensions §III-A of the
@@ -126,8 +126,9 @@ func (fs *FileSystem) SetInvalidator(inv StripInvalidator) { fs.invalidator = in
 // interface, like StripInvalidator, so pfs does not depend on the control
 // package.
 //
-// The task-based fast-path calls (async.go) are not sampled: they are
-// used only by the scale experiment, which runs without the controller.
+// The task-based client calls (async.go) are not sampled: their callers —
+// the scale experiment and the repository benchmark's rpc workload — run
+// without the controller.
 type LatencyObserver interface {
 	ObserveRPCLatency(srv int, migration bool, lat sim.Time)
 }
@@ -138,8 +139,8 @@ func (fs *FileSystem) SetLatencyObserver(o LatencyObserver) { fs.latObs = o }
 // QueueDepth returns the number of client RPCs currently outstanding
 // against server srv — the deterministic saturation signal admission
 // control consults before committing a tenant's operation to a server.
-// The task-based fast-path calls (async.go) are not counted, matching
-// the latency observer's scope.
+// The task-based client calls (async.go) are not counted, matching the
+// latency observer's scope.
 func (fs *FileSystem) QueueDepth(srv int) int {
 	if srv < 0 || srv >= len(fs.inflight) {
 		return 0
@@ -153,8 +154,8 @@ func (fs *FileSystem) QueueDepth(srv int) int {
 // arriving requests.
 func (fs *FileSystem) SetQueueObserver(fn func(srv, depth int)) { fs.queueObs = fn }
 
-// New deploys the file system on a cluster: one data server process per
-// storage node, started immediately.
+// New deploys the file system on a cluster: one data server per storage
+// node, started immediately.
 func New(clu *cluster.Cluster) *FileSystem {
 	fs := &FileSystem{
 		clu:      clu,

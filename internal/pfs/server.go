@@ -59,9 +59,9 @@ type Span struct {
 	Lo, Hi int64
 }
 
-// Server is one PFS data server: a process on a storage node that owns a
-// disk and an in-memory strip store and serves the pfs port. Each request
-// is handled on its own child process (a thread-pool model), so a slow
+// Server is one PFS data server on a storage node: it owns a disk and an
+// in-memory strip store and serves the pfs port. Each request is handled
+// on its own chain or handler process (a thread-pool model), so a slow
 // disk or a busy NIC queues requests on the physical resource rather than
 // on the service loop — the contention the paper's NAS analysis is about.
 type Server struct {
@@ -81,7 +81,7 @@ type Server struct {
 
 	// hname is the handler diagnostic name, formatted on first use.
 	hname string
-	// taskFree recycles fast-path request chains (fasthandler.go).
+	// taskFree recycles request chains (fasthandler.go).
 	taskFree []*reqTask
 }
 
@@ -115,99 +115,43 @@ func (s *Server) handlerName() string {
 	return s.hname
 }
 
+// start installs the dispatcher on the server's port: each delivered
+// message reaches dispatch inline, and its initial drain task is the
+// server's start event.
 func (s *Server) start() {
-	port := s.fs.clu.Net.Node(s.nodeID).Port(Port)
-	if s.fs.clu.Eng.FastDispatch() {
-		// Fast dispatch: the port drives the dispatcher inline instead of a
-		// daemon process looping over Get. SetDispatcher's initial task
-		// stands in for the daemon's start event, and each delivered
-		// message reaches dispatch at the event the daemon's wake would be.
-		port.SetDispatcher(s.dispatch)
-		return
-	}
-	s.fs.clu.Eng.SpawnDaemon(fmt.Sprintf("pfs-server-%d", s.srv), func(p *sim.Proc) {
-		for {
-			msg := port.Get(p)
-			s.reqs++
-			p.Spawn(s.handlerName(), func(h *sim.Proc) {
-				s.handle(h, msg)
-			})
-		}
-	})
+	s.fs.clu.Net.Node(s.nodeID).Port(Port).SetDispatcher(s.dispatch)
 }
 
-// serveRead and serveWrite are the classic handler bodies for the two
-// single-strip requests, shared between the value and pooled-pointer
-// payload forms (the pointer form arrives from fault-free clients).
-func (s *Server) serveRead(p *sim.Proc, respond func(any, int64), fail func(error), file string, strip, lo, hi int64) {
-	data, err := s.LocalRead(p, file, strip, lo, hi)
-	if err != nil {
-		fail(err)
-		return
-	}
-	r := s.fs.readRespGet()
-	r.Data = data
-	respond(r, headerBytes+int64(len(data)))
-}
-
-func (s *Server) serveWrite(p *sim.Proc, respond func(any, int64), fail func(error), file string, strip int64, data []byte, forward bool) {
-	if err := s.LocalWrite(p, file, strip, data, forward); err != nil {
-		fail(err)
-		return
-	}
-	respond(ackResp{}, headerBytes)
-}
-
+// handle serves the requests whose handlers issue RPCs of their own —
+// replica-forwarding writes and migrations — on a handler process.
 func (s *Server) handle(p *sim.Proc, msg simnet.Message) {
 	respond := func(payload any, size int64) {
 		s.fs.clu.Net.Respond(p, msg, payload, size, s.fs.clu.ClassBetween(s.nodeID, msg.From))
 	}
-	fail := func(err error) {
+	var err error
+	switch req := msg.Payload.(type) {
+	case writeReq:
+		err = s.LocalWrite(p, req.File, req.Strip, req.Data, req.Forward)
+	case *writeReq:
+		r := *req
+		s.fs.writeReqPut(req)
+		err = s.LocalWrite(p, r.File, r.Strip, r.Data, r.Forward)
+	case writeManyReq:
+		err = s.LocalWriteMany(p, req.File, req.Strips, req.Data, req.Forward)
+	case migrateReq:
+		err = s.migrate(p, req)
+	default:
+		panic(fmt.Sprintf("pfs: %T routed to the handler process", msg.Payload))
+	}
+	if err != nil {
 		code := codeInternal
 		if errors.Is(err, errNotHeld) {
 			code = codeNotFound
 		}
 		respond(errResp{Err: err.Error(), Code: code}, headerBytes)
+		return
 	}
-	switch req := msg.Payload.(type) {
-	case readReq:
-		s.serveRead(p, respond, fail, req.File, req.Strip, req.Lo, req.Hi)
-	case *readReq:
-		file, strip, lo, hi := req.File, req.Strip, req.Lo, req.Hi
-		s.fs.readReqPut(req)
-		s.serveRead(p, respond, fail, file, strip, lo, hi)
-	case readManyReq:
-		data, err := s.LocalReadMany(p, req.File, req.Spans)
-		if err != nil {
-			fail(err)
-			return
-		}
-		var total int64
-		for _, d := range data {
-			total += int64(len(d))
-		}
-		respond(readManyResp{Data: data}, headerBytes+total)
-	case writeManyReq:
-		if err := s.LocalWriteMany(p, req.File, req.Strips, req.Data, req.Forward); err != nil {
-			fail(err)
-			return
-		}
-		respond(ackResp{}, headerBytes)
-	case writeReq:
-		s.serveWrite(p, respond, fail, req.File, req.Strip, req.Data, req.Forward)
-	case *writeReq:
-		file, strip, data, forward := req.File, req.Strip, req.Data, req.Forward
-		s.fs.writeReqPut(req)
-		s.serveWrite(p, respond, fail, file, strip, data, forward)
-	case migrateReq:
-		if err := s.migrate(p, req); err != nil {
-			fail(err)
-			return
-		}
-		respond(ackResp{}, headerBytes)
-	default:
-		respond(errResp{Err: fmt.Sprintf("unknown request %T", msg.Payload), Code: codeBadRequest}, headerBytes)
-	}
+	respond(ackResp{}, headerBytes)
 }
 
 // stripsOf returns the strip map for file, through the one-entry cache.
@@ -401,8 +345,8 @@ func (s *Server) Drop(file string, strip int64) {
 }
 
 // validateWrite checks a single-strip write against the file's metadata.
-// Shared by the classic handler and the fast request chain so both reject
-// exactly the same requests with the same messages.
+// Shared by the request chain and LocalWrite so both reject exactly the
+// same requests with the same messages.
 func (s *Server) validateWrite(file string, strip int64, data []byte) error {
 	m, ok := s.fs.meta[file]
 	if !ok {

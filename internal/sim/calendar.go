@@ -5,7 +5,29 @@ import (
 	"sort"
 )
 
-// calendarQueue is a Brown-style calendar queue: events hash into buckets
+// event is a scheduled wake-up for a process (*Proc), a pending AfterFunc
+// callback (*Timer), or an inline task callback (any other Tasker);
+// the dispatch loop type-switches on who. One interface instead of three
+// typed fields keeps the struct at 32 bytes with a single heap pointer,
+// which matters in the queues: shifts and sift swaps copy events
+// constantly, and both the bytes moved and the GC write-barrier work
+// scale with the layout. seq breaks timestamp ties in schedule order,
+// which keeps the simulation deterministic.
+type event struct {
+	at  Time
+	seq uint64
+	who any
+}
+
+// before reports whether event a dispatches before event b.
+func before(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// calendarQueue is the engine's event queue, a Brown-style calendar queue: events hash into buckets
 // by timestamp (one bucket spans `width` of simulated time; the bucket
 // array wraps like the days of a year), each bucket stays sorted, and pop
 // scans forward from the current bucket. With a width near the mean event
@@ -13,12 +35,12 @@ import (
 // this is what keeps per-event cost flat as runs grow to thousands of
 // nodes and millions of queued events.
 //
-// Ordering contract: pop returns events in exactly the same (at, seq)
-// order as the binary heap. The scan is exhaustive over one full year
+// Ordering contract: pop returns events in exactly (at, seq) order, the
+// order a binary heap would produce. The scan is exhaustive over one full year
 // before falling back to a global minimum search, and the year windows
 // partition time precisely, so the first in-window head found is the
-// global minimum (heap_test.go cross-checks this against eventHeap on
-// randomized schedules). Bucket-count and width adaptation only move
+// global minimum (the calendar tests cross-check this against a d-ary heap
+// oracle on randomized schedules). Bucket-count and width adaptation only move
 // events between buckets; they can never reorder a pop.
 type calendarQueue struct {
 	buckets [][]event

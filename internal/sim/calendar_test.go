@@ -121,15 +121,3 @@ func TestCalendarSparseFarFuture(t *testing.T) {
 		t.Fatalf("Len = %d after draining", c.Len())
 	}
 }
-
-// TestEngineQueueSelection pins the wiring: the default engine runs the
-// calendar, ClassicQueue restores the heap, and both implement eventQueue.
-func TestEngineQueueSelection(t *testing.T) {
-	if _, ok := NewEngine().queue.(*calendarQueue); !ok {
-		t.Fatalf("default engine queue is %T, want *calendarQueue", NewEngine().queue)
-	}
-	e := NewEngineWith(EngineOpts{ClassicQueue: true})
-	if _, ok := e.queue.(*eventHeap); !ok {
-		t.Fatalf("ClassicQueue engine queue is %T, want *eventHeap", e.queue)
-	}
-}

@@ -7,7 +7,7 @@ import "strconv"
 // When several processes wait on the same mailbox, messages are handed to
 // waiters in their arrival order, preserving determinism.
 //
-// A mailbox can instead drive a dispatcher (SetDispatcher): the fast-path
+// A mailbox can instead drive a dispatcher (SetDispatcher): the inline
 // replacement for a daemon process looping over Get. Put then schedules a
 // task event in exactly the position the daemon's wake-up would occupy,
 // and the mailbox's RunTask drains the queue through the dispatcher inline
@@ -36,7 +36,7 @@ type Mailbox[T any] struct {
 	wHead   int
 	free    []*boxWaiter[T]
 
-	// Dispatcher state (fast path). armed mirrors "the daemon loop is
+	// Dispatcher state. armed mirrors "the daemon loop is
 	// parked in Get": exactly one of {armed, a pending task event} holds
 	// whenever dispatch is set and the queue is empty/non-empty.
 	dispatch func(T)
@@ -166,8 +166,8 @@ func (m *Mailbox[T]) Put(v T) {
 	}
 	m.items = append(m.items, v)
 	if m.dispatch != nil && m.armed {
-		// The dispatcher is idle — exactly the state where a classic daemon
-		// loop would be parked in Get — so this Put schedules its wake-up,
+		// The dispatcher is idle — exactly the state where a daemon loop
+		// would be parked in Get — so this Put schedules its wake-up,
 		// as a task event at the identical (at, seq) position.
 		m.armed = false
 		m.eng.ScheduleTask(0, m)
@@ -175,8 +175,8 @@ func (m *Mailbox[T]) Put(v T) {
 }
 
 // SetDispatcher installs fn as this mailbox's inline message handler and
-// schedules the initial drain task — the fast-path stand-in for the daemon
-// process's start event, keeping event counts identical across modes. The
+// schedules the initial drain task — the stand-in for a daemon process's
+// start event. The
 // handler runs on the engine goroutine and must not block; messages Put
 // before the initial task dispatches are drained by it in order. Get and
 // GetTimeout must not be used on a dispatcher mailbox.
@@ -190,8 +190,8 @@ func (m *Mailbox[T]) SetDispatcher(fn func(T)) {
 }
 
 // RunTask drains every queued message through the dispatcher, then re-arms.
-// One drain per wake — not one per message — is exactly how a classic
-// daemon loop behaves: woken once, it Gets until the queue is empty, then
+// One drain per wake — not one per message — is exactly how a daemon
+// loop over Get behaves: woken once, it Gets until the queue is empty, then
 // parks again.
 func (m *Mailbox[T]) RunTask() {
 	for {

@@ -61,7 +61,7 @@ func (p *Proc) park(verb string, obj Named) {
 }
 
 // Park blocks the process until a matching Engine.ResumeIn wake-up
-// arrives. It is the process-side half of a fast-path chain: callers must
+// arrives. It is the process-side half of a task chain: callers must
 // have arranged, before parking, for exactly one resume to reach them
 // (e.g. a simnet transfer chain that ends in ResumeIn). The (verb, obj)
 // pair feeds deadlock diagnostics; obj may be nil.

@@ -13,7 +13,7 @@ import (
 // request at the head of the queue blocks later, smaller requests, which
 // models head-of-line blocking in store-and-forward devices.
 //
-// Fast-path chains use AcquireTask instead of Acquire: the grant resumes a
+// Task chains use AcquireTask instead of Acquire: the grant resumes a
 // Tasker inline rather than waking a parked process. Both kinds of waiter
 // share one FIFO, so mixing them preserves the grant order exactly.
 type Resource struct {
@@ -135,11 +135,11 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	// By the time we are woken, release has already granted our units.
 }
 
-// AcquireTask is the fast-path Acquire: it either grants n units
+// AcquireTask is Acquire for task chains: it either grants n units
 // immediately (returning true) or queues t to be scheduled — via a task
 // event at the granting Release — once the units are granted (returning
-// false). The queued task event occupies exactly the (at, seq) position the
-// classic path's process wake-up would, preserving event parity.
+// false). The queued task event occupies exactly the (at, seq) position a
+// queued process's wake-up would, preserving event parity.
 func (r *Resource) AcquireTask(n int64, t Tasker) bool {
 	if n <= 0 {
 		return true

@@ -5,53 +5,59 @@ import (
 	"github.com/hpcio/das/internal/sim"
 )
 
-// This file is the fast-path construction of a store-and-forward transfer:
-// a pooled task chain that walks egress → latency → ingress as inline
-// engine events instead of blocking a goroutine through five parks.
+// This file is the transfer construction: a pooled task chain that walks
+// egress → latency → ingress as inline engine events instead of blocking
+// a goroutine through every hop. One event per hop:
 //
-// Event parity with the classic transfer() is hop-for-hop. Each line pairs
-// a classic scheduling point with the chain step that allocates the same
-// (at, seq):
+//	egress grant    AcquireTask, or the granting Release's task event
+//	egress done     serialization over: release egress, fly the wire
+//	wire done       loss draw (faulted transfers); a late message waits
+//	                out its delay as one more event
+//	ingress grant   receiver-down check and ingress bandwidth were fixed
+//	                on arrival; contend for ingress
+//	ingress done    release, account, deliver
 //
-//	classic (per process p)                 fast (per chain x)
-//	─────────────────────────────────────   ─────────────────────────────────
-//	egress.Acquire queues p; Release        egress.AcquireTask queues x;
-//	  schedules p's grant wake                Release schedules x's grant task
-//	Sleep(exDur) after grant                ScheduleTask(exDur) after grant
-//	wake: egress.Release, Sleep(latency)    task: egress.Release, ScheduleTask(latency)
-//	wake: ingress.Acquire (as egress)       task: ingress.AcquireTask (as egress)
-//	Sleep(ixDur) after grant                sync:  ResumeIn(ixDur, caller)
-//	                                        async: ScheduleTask(ixDur)
-//	wake: ingress.Release, traffic.Add,     sync:  caller's post-Park epilogue
-//	  deliver                               async: final task does the same
+// The fault layer's Active is sampled once, when the transfer starts; a
+// transfer that started fault-free runs without any further checks. A
+// faulted transfer checks the sender at start (and scales egress by its
+// NIC factor then), draws loss or delay when it comes off the wire, and
+// checks the receiver and its NIC factor on arrival — the hops at which a
+// store-and-forward message meets each fault.
 //
-// Sync chains (Send, Respond) end in a process event — the caller's single
-// Park/resume — so the epilogue runs with the same event kind and position
-// as the classic path's last wake. Async chains (SendAsync, fused Call
-// request legs, RespondTask) end in a task event, standing in for the
-// child or handler process's last wake.
+// Sync chains (Send, Respond) block their caller in one Park and end in a
+// process event: the caller's resume at ingress done, after which it runs
+// the epilogue itself. A faulted sync chain resumes the caller at wire
+// done instead and lets it draw the loss verdict: a message lost there
+// leaves the caller continuing in that very event, where resuming it from
+// a task would cost a zero-delay event and reorder same-instant work. The
+// caller then re-enters the chain for the ingress hops and parks again.
+// Async chains (SendAsync, Call request legs, RespondTask) end in a task
+// event that delivers; a lost async message ends its chain where it is
+// lost, firing SendAsync's signal there.
 type xfer struct {
 	net      *Network
 	state    int
 	src, dst *Node
 	size     int64
 	class    metrics.TrafficClass
-	exDur    sim.Time // egress serialization time
-	ixDur    sim.Time // ingress serialization time
+	faulty   bool     // the fault layer was active when the transfer started
+	exDur    sim.Time // egress serialization time, fixed at start
+	ixDur    sim.Time // ingress serialization time, fixed on arrival
 
 	// Completion: exactly one of resume (sync) or deliver (async) is set.
 	resume  *sim.Proc
 	deliver *sim.Mailbox[Message]
 	msg     Message
-	done    *sim.Signal[struct{}] // optional, fired after async delivery
+	done    *sim.Signal[struct{}] // optional, fired when an async chain ends
 }
 
 // Chain states, named for what RunTask does when dispatched in that state.
 const (
-	xsStart         = iota // async spawn stand-in: begin the chain
+	xsStart         = iota // deferred start (SendAsync): begin the chain
 	xsEgressGranted        // egress units held: schedule serialization
 	xsEgressDone           // serialization over: release egress, fly the wire
-	xsLatencyDone          // arrived: contend for ingress
+	xsLatencyDone          // off the wire: loss draw, then arrival
+	xsDelayDone            // a late message lands: arrival
 	xsIngressGrant         // ingress held: schedule final serialization
 	xsFinal                // async epilogue: release, account, deliver
 )
@@ -60,8 +66,7 @@ func (x *xfer) RunTask() {
 	switch x.state {
 	case xsStart:
 		if x.src == x.dst {
-			// Loopback is free and infallible; the one start event matches
-			// the classic child's only event (spawn → deliver → exit).
+			// Loopback is free and infallible: a node always reaches itself.
 			x.complete()
 			return
 		}
@@ -71,20 +76,37 @@ func (x *xfer) RunTask() {
 		x.net.eng.ScheduleTask(x.exDur, x)
 	case xsEgressDone:
 		x.src.egress.Release(1)
+		if x.resume != nil && x.faulty {
+			// The sync caller takes the wire-done event itself (see the
+			// file comment).
+			x.net.eng.ResumeIn(x.net.cfg.Latency, x.resume)
+			return
+		}
 		x.state = xsLatencyDone
 		x.net.eng.ScheduleTask(x.net.cfg.Latency, x)
 	case xsLatencyDone:
-		x.state = xsIngressGrant
-		if x.dst.ingress.AcquireTask(1, x) {
-			x.RunTask()
+		lost, delay := x.landed()
+		if lost {
+			x.lose()
+			return
+		}
+		if delay > 0 {
+			x.state = xsDelayDone
+			x.net.eng.ScheduleTask(delay, x)
+			return
+		}
+		if !x.arrive() {
+			x.lose()
+		}
+	case xsDelayDone:
+		if !x.arrive() {
+			x.lose()
 		}
 	case xsIngressGrant:
 		if p := x.resume; p != nil {
 			// Sync chain: hand the final serialization wait back to the
-			// caller as its one resume; it runs the epilogue itself.
-			eng, d := x.net.eng, x.ixDur
-			x.net.xferPut(x)
-			eng.ResumeIn(d, p)
+			// caller as its resume; it runs the epilogue itself.
+			x.net.eng.ResumeIn(x.ixDur, p)
 			return
 		}
 		x.state = xsFinal
@@ -96,12 +118,55 @@ func (x *xfer) RunTask() {
 	}
 }
 
-// launch contends for the egress NIC, continuing inline on an immediate
-// grant. Remote chains only; loopback never reaches here.
-func (x *xfer) launch() {
+// launch starts a remote chain: a message from a crashed sender never
+// reaches the wire; otherwise it contends for the egress NIC, continuing
+// inline on an immediate grant. Reports whether the message is still
+// alive.
+func (x *xfer) launch() bool {
+	if x.faulty && x.net.faults.Down(x.src.id) {
+		x.lose()
+		return false
+	}
+	x.exDur = x.net.wireTime(x.size, x.src.id, x.faulty)
 	x.state = xsEgressGranted
 	if x.src.egress.AcquireTask(1, x) {
 		x.RunTask()
+	}
+	return true
+}
+
+// landed draws a faulted message's fate as it comes off the wire: lost,
+// or late by delay.
+func (x *xfer) landed() (lost bool, delay sim.Time) {
+	if !x.faulty {
+		return false, 0
+	}
+	return x.net.faults.DropMessage(x.src.id, x.dst.id)
+}
+
+// arrive hands a message that made it across to the receiver's ingress
+// NIC, reporting false if the receiver crashed while it was in flight:
+// the bytes crossed the wire but nobody is listening.
+func (x *xfer) arrive() bool {
+	if x.faulty && x.net.faults.Down(x.dst.id) {
+		return false
+	}
+	x.ixDur = x.net.wireTime(x.size, x.dst.id, x.faulty)
+	x.state = xsIngressGrant
+	if x.dst.ingress.AcquireTask(1, x) {
+		x.RunTask()
+	}
+	return true
+}
+
+// lose records a message lost to a fault and ends its chain, firing the
+// optional signal.
+func (x *xfer) lose() {
+	x.net.faults.NoteDropped(x.src.id, x.dst.id)
+	done := x.done
+	x.net.xferPut(x)
+	if done != nil {
+		done.Fire(struct{}{})
 	}
 }
 
@@ -116,47 +181,60 @@ func (x *xfer) complete() {
 	}
 }
 
-// startSync launches a chain that resumes p after the full pipeline; the
-// caller must Park immediately and run the classic epilogue (ingress
-// release, traffic accounting, delivery) after waking.
-func (n *Network) startSync(p *sim.Proc, src, dst *Node, size int64) {
+// wireTime is the serialization time of size bytes through one of node's
+// NICs, scaled by its fault factor when the transfer is faulted.
+func (n *Network) wireTime(size int64, node int, faulty bool) sim.Time {
+	bps := n.cfg.BytesPerSec
+	if faulty {
+		bps *= n.faults.NICFactor(node)
+	}
+	return sim.TransferTime(size, bps)
+}
+
+// newXfer takes a pooled chain for a remote transfer, sampling the fault
+// layer's Active once for the whole transfer.
+func (n *Network) newXfer(src, dst *Node, size int64, class metrics.TrafficClass) *xfer {
 	x := n.xferGet()
-	dur := sim.TransferTime(size, n.cfg.BytesPerSec)
-	x.src, x.dst, x.size = src, dst, size
-	x.exDur, x.ixDur = dur, dur
+	x.src, x.dst, x.size, x.class = src, dst, size, class
+	x.faulty = n.faults != nil && n.faults.Active()
+	return x
+}
+
+// transferSync carries size bytes from src to dst on behalf of the
+// blocked process p, reporting whether they arrived; the caller delivers
+// on true. Remote transfers only.
+func (n *Network) transferSync(p *sim.Proc, src, dst *Node, size int64, class metrics.TrafficClass, verb string) bool {
+	x := n.newXfer(src, dst, size, class)
 	x.resume = p
-	x.launch()
+	if !x.launch() {
+		return false
+	}
+	p.Park(verb, nil)
+	if x.faulty {
+		// Resumed at wire done: draw the loss verdict here, in this event.
+		lost, delay := x.landed()
+		if !lost && delay > 0 {
+			p.Sleep(delay)
+		}
+		if lost || !x.arrive() {
+			x.lose()
+			return false
+		}
+		p.Park(verb, nil)
+	}
+	dst.ingress.Release(1)
+	n.traffic.Add(class, size)
+	n.xferPut(x)
+	return true
 }
 
 // startAsync launches a self-completing chain that Puts msg into deliver
 // after the full pipeline. Callers on a process schedule nothing extra —
-// the chain's first step runs inline in their current event, exactly where
-// the classic path would start serializing. Callers standing in for a
-// spawned child (SendAsync) set state xsStart and schedule the chain
-// instead; see SendAsync.
+// the chain's first step runs inline in their current event.
 func (n *Network) startAsync(src, dst *Node, size int64, class metrics.TrafficClass, deliver *sim.Mailbox[Message], msg Message) {
-	x := n.xferGet()
-	dur := sim.TransferTime(size, n.cfg.BytesPerSec)
-	x.src, x.dst, x.size, x.class = src, dst, size, class
-	x.exDur, x.ixDur = dur, dur
+	x := n.newXfer(src, dst, size, class)
 	x.deliver, x.msg = deliver, msg
 	x.launch()
-}
-
-// startSpawned is startAsync for callers standing in for a spawned child
-// process (SendAsync): instead of beginning inline, the chain starts at a
-// zero-delay task event occupying the exact (at, seq) of the child's spawn
-// event. Loopback is resolved in that start event, as the classic child
-// would in its only wake.
-func (n *Network) startSpawned(src, dst *Node, size int64, class metrics.TrafficClass, deliver *sim.Mailbox[Message], msg Message, done *sim.Signal[struct{}]) {
-	x := n.xferGet()
-	dur := sim.TransferTime(size, n.cfg.BytesPerSec)
-	x.src, x.dst, x.size, x.class = src, dst, size, class
-	x.exDur, x.ixDur = dur, dur
-	x.deliver, x.msg = deliver, msg
-	x.done = done
-	x.state = xsStart
-	n.eng.ScheduleTask(0, x)
 }
 
 // Responder consumes an RPC response delivered by CallTask. An interface
@@ -186,13 +264,9 @@ func (c *callTask) OnDelivery(resp Message) {
 // CallTask is the task-based construction of the fused Call: the request
 // transfer runs as a task chain, and r.OnResponse runs inline in the event
 // a process caller's reply wake-up would occupy — the whole RPC costs zero
-// goroutine switches. Only legal under the fast path (no classic dispatch,
-// no active faults); callers check FastOK and fall back to Call from a
-// process otherwise.
+// goroutine switches. Like Call it has no timeout: a request or response
+// lost to an injected fault never reaches r.
 func (n *Network) CallTask(msg Message, r Responder) {
-	if !n.fastOK() {
-		panic("simnet: CallTask without the fast path")
-	}
 	reply := n.acquireReply()
 	msg.Reply = reply
 	c := n.callGet()

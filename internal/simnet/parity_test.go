@@ -102,13 +102,6 @@ func parityCell(t *testing.T, op, hazard string) string {
 	case "RespondTask":
 		port.SetDispatcher(func(m Message) {
 			note("recv")
-			if !net.FastOK() {
-				eng.Spawn("handler", func(p *sim.Proc) {
-					apply(1, 0, parityRespLen)
-					net.Respond(p, m, "resp", parityRespLen, metrics.ServerToClient)
-				})
-				return
-			}
 			eng.ScheduleTask(0, &parityHandler{net: net, req: m, start: func() { apply(1, 0, parityRespLen) }})
 		})
 	default:

@@ -17,8 +17,8 @@ import (
 //     the callee's reply summary decides whether that call discharges.
 //   - closures: handlers bind respond/fail closures over the message and
 //     reply through them, often transitively (fail calls respond).
-//   - parametric helpers: pfs's serveRead never sees the message at all —
-//     it receives respond and fail functions and calls exactly one of them
+//   - parametric helpers: a helper may never see the message at all — it
+//     receives respond and fail functions and calls exactly one of them
 //     on every path. Such helpers discharge when all their func-valued
 //     arguments can reply.
 //
@@ -149,8 +149,8 @@ func messageParam(fi *funcInfo) types.Object {
 }
 
 // parametricHelpers summarizes module functions that invoke exactly one
-// of their func-typed parameters on every path (pfs serveRead/serveWrite):
-// the respond/fail plumbing of a handler, factored out.
+// of their func-typed parameters on every path: the respond/fail plumbing
+// of a handler, factored out.
 func parametricHelpers(idx map[string]*funcInfo) map[string]bool {
 	out := make(map[string]bool)
 	for key, fi := range idx {

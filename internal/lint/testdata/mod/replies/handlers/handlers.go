@@ -99,8 +99,8 @@ func (s *Srv) risky(p *sim.Proc, msg simnet.Message, ok bool) {
 	s.Net.Respond(p, msg, "ok", 1, metrics.ServerToClient)
 }
 
-// run is a parametric helper in the shape of pfs's serveRead: it invokes
-// exactly one of its func-typed parameters on every path.
+// run is a parametric helper: it invokes exactly one of its func-typed
+// parameters on every path.
 func run(respond func(any), fail func(), ok bool) {
 	if !ok {
 		fail()

@@ -24,7 +24,7 @@ import (
 
 // reqTask chain states, named for what RunTask does when dispatched.
 const (
-	rsStart       = iota // spawn stand-in: validate and contend for the disk
+	rsStart       = iota // handler start: validate and contend for the disk
 	rsDiskGranted        // drive held: schedule the service time
 	rsDiskDone           // service over: release drive, account, respond
 )

@@ -9,12 +9,12 @@ import (
 // egress → latency → ingress as inline engine events instead of blocking
 // a goroutine through every hop. One event per hop:
 //
-//	egress grant    AcquireTask, or the granting Release's task event
+//	egress grant    AcquireTask inline, or the granting Release's task
 //	egress done     serialization over: release egress, fly the wire
-//	wire done       loss draw (faulted transfers); a late message waits
-//	                out its delay as one more event
-//	ingress grant   receiver-down check and ingress bandwidth were fixed
-//	                on arrival; contend for ingress
+//	wire done       loss draw, receiver check, ingress time fixed; a late
+//	                message does the last two one delay later, as its
+//	                own event
+//	ingress grant   AcquireTask inline, or the granting Release's task
 //	ingress done    release, account, deliver
 //
 // The fault layer's Active is sampled once, when the transfer starts; a
@@ -200,10 +200,10 @@ func (n *Network) newXfer(src, dst *Node, size int64, class metrics.TrafficClass
 	return x
 }
 
-// transferSync carries size bytes from src to dst on behalf of the
+// carrySync carries size bytes from src to dst on behalf of the
 // blocked process p, reporting whether they arrived; the caller delivers
 // on true. Remote transfers only.
-func (n *Network) transferSync(p *sim.Proc, src, dst *Node, size int64, class metrics.TrafficClass, verb string) bool {
+func (n *Network) carrySync(p *sim.Proc, src, dst *Node, size int64, class metrics.TrafficClass, verb string) bool {
 	x := n.newXfer(src, dst, size, class)
 	x.resume = p
 	if !x.launch() {

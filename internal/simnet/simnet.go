@@ -207,7 +207,7 @@ func (nd *Node) IngressBusy() sim.Time { return nd.ingress.BusyTime() }
 // need delivery confirmation use Call with a timeout.
 func (n *Network) Send(p *sim.Proc, msg Message) {
 	src, dst := n.Node(msg.From), n.Node(msg.To)
-	if src == dst || n.transferSync(p, src, dst, msg.Size, msg.Class, "send") {
+	if src == dst || n.carrySync(p, src, dst, msg.Size, msg.Class, "send") {
 		dst.Port(msg.Port).Put(msg)
 	}
 }
@@ -330,7 +330,7 @@ func (n *Network) Respond(p *sim.Proc, req Message, payload any, size int64, cla
 		Class:   class,
 		Payload: payload,
 	}
-	if src == dst || n.transferSync(p, src, dst, size, class, "respond") {
+	if src == dst || n.carrySync(p, src, dst, size, class, "respond") {
 		req.Reply.Put(resp)
 	}
 }
